@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -188,9 +189,11 @@ def _run_chunk(table: SieveTable, chunk, lo: int, hi: int, max_jumps: int, dense
 _WORKER_TABLE: SieveTable | None = None
 
 
-def _worker_init(k: int) -> None:
+def _worker_init(table: SieveTable) -> None:
+    # Under the default fork start method the parent's table is inherited
+    # as it is; nothing is pickled and nothing is rebuilt.
     global _WORKER_TABLE
-    _WORKER_TABLE = build_table(k)
+    _WORKER_TABLE = table
 
 
 def _worker_run(chunk, lo, hi, max_jumps, dense_steps):
@@ -207,10 +210,11 @@ def _exact_recheck(n: int, lo: int, max_steps: int) -> str | None:
     return "no-descent-within-%d-steps" % max_steps
 
 
-def _write_checkpoint(path, k, lo, hi, next_chunk, counterexamples) -> None:
+def _write_checkpoint(path, k, lo, hi, spans_per_chunk, next_chunk, counterexamples) -> None:
     tmp = "%s.tmp" % (path,)
     with open(tmp, "w") as fh:
-        fh.write("v1 %d %d %d %d %d\n" % (k, lo, hi, next_chunk, len(counterexamples)))
+        fh.write("v2 %d %d %d %d %d %d\n"
+                 % (k, lo, hi, spans_per_chunk, next_chunk, len(counterexamples)))
         for n, reason in counterexamples:
             fh.write("%d %s\n" % (n, reason))
         fh.flush()
@@ -218,19 +222,29 @@ def _write_checkpoint(path, k, lo, hi, next_chunk, counterexamples) -> None:
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path, k, lo, hi):
+def _read_checkpoint(path, k, lo, hi, spans_per_chunk):
+    """(next_chunk, counterexamples) of a checkpoint written for this exact plan.
+
+    The chunk index means something only against the chunk plan that
+    wrote it, so the header must match k, the range and spans_per_chunk.
+    A v1 file never recorded spans_per_chunk and is refused.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise CheckpointMismatchError("checkpoint file %r is empty" % (path,))
     head = lines[0].split()
-    if len(head) != 6 or head[0] != "v1":
-        raise CheckpointMismatchError("unrecognized checkpoint header %r" % lines[0])
-    ck, clo, chi, nxt, ncex = (int(t) for t in head[1:])
-    if (ck, clo, chi) != (k, lo, hi):
+    if len(head) != 7 or head[0] != "v2":
         raise CheckpointMismatchError(
-            "checkpoint was written for k=%d range [%d, %d], "
-            "requested k=%d range [%d, %d]" % (ck, clo, chi, k, lo, hi)
+            "unrecognized checkpoint header %r; only v2 checkpoints, which "
+            "record the chunk plan, can be resumed" % lines[0]
+        )
+    ck, clo, chi, cspc, nxt, ncex = (int(t) for t in head[1:])
+    if (ck, clo, chi, cspc) != (k, lo, hi, spans_per_chunk):
+        raise CheckpointMismatchError(
+            "checkpoint was written for k=%d range [%d, %d] with %d spans per chunk, "
+            "requested k=%d range [%d, %d] with %d spans per chunk"
+            % (ck, clo, chi, cspc, k, lo, hi, spans_per_chunk)
         )
     cex = []
     for line in lines[1:]:
@@ -243,6 +257,39 @@ def _read_checkpoint(path, k, lo, hi):
             "checkpoint lists %d counterexamples but header says %d" % (len(cex), ncex)
         )
     return nxt, cex
+
+
+def _run_pool(table, chunks, pending, lo, hi, max_jumps, recheck_steps, workers, commit):
+    """Run chunks on a process pool and commit their results in plan order.
+
+    At most 2 * workers chunks are in flight ahead of the commit point;
+    each commit refills one.  If a commit raises (an on_progress stop,
+    say), chunks not yet started are cancelled rather than computed and
+    thrown away, and the exception propagates once the running ones end.
+    """
+    todo = iter(pending)
+    inflight: deque = deque()
+    with ProcessPoolExecutor(
+        max_workers=workers, initializer=_worker_init, initargs=(table,)
+    ) as pool:
+
+        def submit():
+            i = next(todo, None)
+            if i is not None:
+                fut = pool.submit(_worker_run, chunks[i], lo, hi, max_jumps, recheck_steps)
+                inflight.append((i, fut))
+
+        try:
+            for _ in range(2 * workers):
+                submit()
+            while inflight:
+                i, fut = inflight.popleft()
+                checked, unresolved = fut.result()
+                submit()
+                commit(i, checked, unresolved)
+        except BaseException:
+            pool.shutdown(cancel_futures=True)
+            raise
 
 
 def verify_range(
@@ -264,7 +311,10 @@ def verify_range(
     is re-followed exactly with big integers.  A checkpoint file, when
     given, is rewritten atomically after every chunk so an interrupted
     run resumes where it stopped and still produces the same counts
-    and counterexample list.
+    and counterexample list.  Its header records the chunk plan (k, the
+    range and spans_per_chunk); resuming under any other plan raises
+    CheckpointMismatchError instead of crediting chunks never computed.
+    Pool workers share the parent's table rather than building their own.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi, got [%r, %r]" % (lo, hi))
@@ -281,7 +331,7 @@ def verify_range(
     start_chunk = 0
     cex: list[tuple[int, str]] = []
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        start_chunk, cex = _read_checkpoint(checkpoint_path, k, lo, hi)
+        start_chunk, cex = _read_checkpoint(checkpoint_path, k, lo, hi, spans_per_chunk)
         start_chunk = min(start_chunk, len(chunks))
     checked_dense = 0
     checked_survivors = 0
@@ -304,7 +354,7 @@ def verify_range(
             if reason is not None:
                 cex.append((n, reason))
         if checkpoint_path is not None:
-            _write_checkpoint(checkpoint_path, k, lo, hi, index + 1, cex)
+            _write_checkpoint(checkpoint_path, k, lo, hi, spans_per_chunk, index + 1, cex)
         if on_progress is not None:
             on_progress(index + 1, len(chunks), checked_dense + checked_survivors)
 
@@ -316,18 +366,9 @@ def verify_range(
             )
             commit(i, checked, unresolved)
     else:
-        with ProcessPoolExecutor(
-            max_workers=workers, initializer=_worker_init, initargs=(k,)
-        ) as pool:
-            futures = [
-                pool.submit(_worker_run, chunks[i], lo, hi, max_jumps, recheck_steps)
-                for i in pending
-            ]
-            for i, fut in zip(pending, futures):
-                checked, unresolved = fut.result()
-                commit(i, checked, unresolved)
+        _run_pool(table, chunks, pending, lo, hi, max_jumps, recheck_steps, workers, commit)
     if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, k, lo, hi, len(chunks), cex)
+        _write_checkpoint(checkpoint_path, k, lo, hi, spans_per_chunk, len(chunks), cex)
     total = hi - lo + 1
     return VerificationReport(
         lo=lo,

@@ -13,6 +13,7 @@ from collatz_lab import (
     survivor_counts,
     verify_range,
 )
+from collatz_lab import sieve
 from collatz_lab.maps import t_step
 from collatz_lab.sieve import _plan_chunks
 
@@ -167,6 +168,54 @@ class TestVerifyRange:
         assert starved.counterexamples == normal.counterexamples == ()
         assert starved.checked_survivors == normal.checked_survivors
 
+    def test_workers_use_the_given_table(self, monkeypatch):
+        table = build_table(12)
+
+        def no_rebuild(k):
+            raise AssertionError("table rebuilt for k=%d" % k)
+
+        monkeypatch.setattr(sieve, "build_table", no_rebuild)
+        report = verify_range(1, 1 << 18, k=12, table=table, workers=2,
+                              spans_per_chunk=8)
+        assert report.counterexamples == ()
+        assert report.checked_survivors == 63 * int(table.survivors.size)
+
+    def test_pool_interrupt_records_exactly_the_committed_chunks(self, tmp_path, monkeypatch):
+        path = tmp_path / "check.txt"
+        fresh = verify_range(1, 1 << 21, k=12, spans_per_chunk=8)
+
+        class Stop(Exception):
+            pass
+
+        def bail_early(done, total, checked):
+            if done == 2:
+                raise Stop
+
+        # Forked workers inherit the patch and log each chunk they run.
+        ran = tmp_path / "ran.txt"
+        run_chunk = sieve._run_chunk
+
+        def logged(table, chunk, *args):
+            with open(ran, "a") as fh:
+                fh.write("%s %d %d\n" % chunk)
+            return run_chunk(table, chunk, *args)
+
+        monkeypatch.setattr(sieve, "_run_chunk", logged)
+        with pytest.raises(Stop):
+            verify_range(1, 1 << 21, k=12, spans_per_chunk=8, workers=2,
+                         checkpoint_path=str(path), on_progress=bail_early)
+        monkeypatch.undo()
+        head = path.read_text().splitlines()[0].split()
+        assert head[5] == "2"
+        # two committed, at most 2 * workers ahead of them, of 65 chunks
+        assert len(ran.read_text().splitlines()) <= 2 + 2 * 2
+        resumed = verify_range(1, 1 << 21, k=12, spans_per_chunk=8, workers=2,
+                               checkpoint_path=str(path))
+        assert resumed.chunks_done_before == 2
+        for field in ("checked_dense", "checked_survivors", "skipped",
+                      "counterexamples", "chunks_total"):
+            assert getattr(fresh, field) == getattr(resumed, field)
+
     def test_worker_count_does_not_change_results(self):
         solo = verify_range(1, 1 << 21, k=16, spans_per_chunk=8)
         duo = verify_range(1, 1 << 21, k=16, spans_per_chunk=8, workers=2)
@@ -181,7 +230,7 @@ class TestCheckpoint:
         path = tmp_path / "check.txt"
         report = verify_range(1, 10**5, k=12, checkpoint_path=str(path))
         head = path.read_text().splitlines()[0].split()
-        assert head == ["v1", "12", "1", "100000", str(report.chunks_total), "0"]
+        assert head == ["v2", "12", "1", "100000", "256", str(report.chunks_total), "0"]
 
     def test_resume_of_finished_run_is_instant(self, tmp_path):
         path = tmp_path / "check.txt"
@@ -220,6 +269,34 @@ class TestCheckpoint:
             verify_range(2, 10**5, k=12, checkpoint_path=str(path))
         with pytest.raises(CheckpointMismatchError):
             verify_range(1, 10**5, k=10, checkpoint_path=str(path))
+
+    def test_checkpoint_from_another_chunk_plan_rejected(self, tmp_path):
+        # The chunk index only means something against the plan that
+        # wrote it; resuming under another spans_per_chunk would credit
+        # chunks that were never computed.
+        path = tmp_path / "check.txt"
+
+        class Stop(Exception):
+            pass
+
+        def bail_early(done, total, checked):
+            if done == 2:
+                raise Stop
+
+        with pytest.raises(Stop):
+            verify_range(1, 10**6, k=12, spans_per_chunk=4,
+                         checkpoint_path=str(path), on_progress=bail_early)
+        with pytest.raises(CheckpointMismatchError):
+            verify_range(1, 10**6, k=12, spans_per_chunk=16, checkpoint_path=str(path))
+        resumed = verify_range(1, 10**6, k=12, spans_per_chunk=4, checkpoint_path=str(path))
+        assert resumed.chunks_done_before == 2
+
+    def test_v1_checkpoint_rejected(self, tmp_path):
+        # v1 headers never recorded the chunk plan, so no resume is safe.
+        path = tmp_path / "check.txt"
+        path.write_text("v1 12 1 100000 3 0\n")
+        with pytest.raises(CheckpointMismatchError):
+            verify_range(1, 10**5, k=12, checkpoint_path=str(path))
 
     def test_corrupt_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "check.txt"
