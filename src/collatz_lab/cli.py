@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 
@@ -22,7 +21,7 @@ from .trajectory import (
     iterate,
     permutation_orbit,
 )
-from .util import format_fixed5, parse_natural
+from .util import parse_natural
 
 _LIMIT_OUTCOMES = (Outcome.HIT_STEP_LIMIT, Outcome.HIT_BIT_LIMIT)
 
@@ -95,50 +94,12 @@ def _cmd_traj(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    n = args.n
-    limits = _limits(args)
-    sigma = stats.total_stopping_time(n, limits)
-    stop = stats.stopping_time(n, limits)
-    ratio = stats.one_ratio(n, limits)
-    r = stats.rho(n, limits)
-    g = stats.gamma(n, limits)
-    unknown = sigma is None or stop is None
+    summary = stats.orbit_summary(args.n, _limits(args))
     if args.format == "json":
-        doc = {
-            "schema": render.SCHEMA,
-            "kind": "stats",
-            "n": n,
-            "total_steps": sigma,
-            "stopping_time": None
-            if stop is None
-            else ("infinity" if stop == math.inf else stop),
-            "odd_ratio": None if ratio is None else [ratio.numerator, ratio.denominator],
-            "odd_ratio_text": format_fixed5(ratio) if ratio is not None else None,
-            "peak_log_ratio": r,
-            "steps_per_log": g,
-        }
-        _emit(_json_text(doc), args.out)
+        _emit(_json_text(render.stats_to_json(summary)), args.out)
     else:
-        lines = ["n = %d" % n]
-        lines.append("steps to reach 1:   %s" % ("unknown" if sigma is None else sigma))
-        if stop is None:
-            stop_text = "unknown"
-        elif stop == math.inf:
-            stop_text = "never (n = 1)"
-        else:
-            stop_text = str(stop)
-        lines.append("steps to drop below n: %s" % stop_text)
-        if ratio is not None:
-            lines.append(
-                "odd-step ratio:     %d/%d = %s"
-                % (ratio.numerator, ratio.denominator, format_fixed5(ratio))
-            )
-        if r is not None:
-            lines.append("log peak / log n:   %.5f" % r)
-        if g is not None:
-            lines.append("steps / log n:      %.4f" % g)
-        _emit("\n".join(lines) + "\n", args.out)
-    return 2 if unknown else 0
+        _emit(render.stats_to_text(summary), args.out)
+    return 2 if summary.total_steps is None or summary.stopping_time is None else 0
 
 
 def _cmd_census(args) -> int:
@@ -198,18 +159,7 @@ def _cmd_predict(args) -> int:
         raise ValueError("give a start, positionally or with --n")
     pred = model.predict(n)
     if args.format == "json":
-        doc = {
-            "schema": render.SCHEMA,
-            "kind": "prediction",
-            "n": pred.n,
-            "log_n": pred.log_n,
-            "slope": pred.slope,
-            "expected_steps": pred.expected_steps,
-            "upper_bound_steps": pred.upper_bound_steps,
-            "extremal_steps": pred.extremal_steps,
-            "extremal_peak_log": pred.extremal_peak_log,
-        }
-        _emit(_json_text(doc), args.out)
+        _emit(_json_text(render.prediction_to_json(pred)), args.out)
     else:
         _emit(render.prediction_to_text(pred), args.out)
     return 0
@@ -228,21 +178,7 @@ def _cmd_compare(args) -> int:
     if args.format == "csv":
         _emit(render.residuals_to_csv(cmp_), args.out)
     elif args.format == "json":
-        doc = {
-            "schema": render.SCHEMA,
-            "kind": "model-comparison",
-            "n": cmp_.start,
-            "steps": cmp_.steps,
-            "expected_steps": cmp_.expected_steps,
-            "steps_ratio": cmp_.steps_ratio,
-            "slope": cmp_.slope,
-            "max_abs_residual": cmp_.max_abs_residual,
-            "rms_residual": cmp_.rms_residual,
-            "within_upper_bound": cmp_.within_upper_bound,
-            "small_start": cmp_.small_start,
-            "residuals": list(cmp_.residuals),
-        }
-        _emit(_json_text(doc), args.out)
+        _emit(_json_text(render.comparison_to_json(cmp_)), args.out)
     else:
         _emit(render.comparison_to_text(cmp_), args.out)
     return 0
@@ -337,14 +273,10 @@ def _cmd_sets_closure(args) -> int:
     elif args.format == "csv":
         _emit(render.density_to_csv(profile), args.out)
     elif args.format == "json":
-        doc = render.closure_to_json(
-            affine_sets.ClosureResult(
-                result.ceiling, tuple(members), result.pruned, result.exact
-            ),
-            preset=preset,
+        bounded = affine_sets.ClosureResult(
+            result.ceiling, tuple(members), result.pruned, result.exact
         )
-        doc["density"] = [[x, c, d] for x, c, d in profile]
-        _emit(_json_text(doc), args.out)
+        _emit(_json_text(render.closure_density_to_json(bounded, profile, preset)), args.out)
     else:
         lines = [
             "%d members up to %d%s"

@@ -7,12 +7,13 @@ same input, byte-identical output.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 from .affine_sets import ClosureResult
 from .model import ModelComparison, Prediction
 from .sieve import VerificationReport
-from .stats import BlockCensus, RecordScan
+from .stats import BlockCensus, OrbitSummary, RecordScan
 from .tag import TagRun
 from .trajectory import CycleCensus, Trajectory
 from .util import format_fixed5, log_nat
@@ -85,6 +86,47 @@ def census_to_json(census: BlockCensus) -> dict:
             for s, rs in census.anomalies
         ],
     }
+
+
+def stats_to_json(summary: OrbitSummary) -> dict:
+    stop = summary.stopping_time
+    ratio = summary.odd_ratio
+    return {
+        "schema": SCHEMA,
+        "kind": "stats",
+        "n": summary.n,
+        "total_steps": summary.total_steps,
+        "stopping_time": None if stop is None else ("infinity" if stop == math.inf else stop),
+        "odd_ratio": None if ratio is None else [ratio.numerator, ratio.denominator],
+        "odd_ratio_text": format_fixed5(ratio) if ratio is not None else None,
+        "peak_log_ratio": summary.rho,
+        "steps_per_log": summary.gamma,
+    }
+
+
+def stats_to_text(summary: OrbitSummary) -> str:
+    sigma = summary.total_steps
+    stop = summary.stopping_time
+    ratio = summary.odd_ratio
+    lines = ["n = %d" % summary.n]
+    lines.append("steps to reach 1:   %s" % ("unknown" if sigma is None else sigma))
+    if stop is None:
+        stop_text = "unknown"
+    elif stop == math.inf:
+        stop_text = "never (n = 1)"
+    else:
+        stop_text = str(stop)
+    lines.append("steps to drop below n: %s" % stop_text)
+    if ratio is not None:
+        lines.append(
+            "odd-step ratio:     %d/%d = %s"
+            % (ratio.numerator, ratio.denominator, format_fixed5(ratio))
+        )
+    if summary.rho is not None:
+        lines.append("log peak / log n:   %.5f" % summary.rho)
+    if summary.gamma is not None:
+        lines.append("steps / log n:      %.4f" % summary.gamma)
+    return "\n".join(lines) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -323,11 +365,34 @@ def closure_to_json(result: ClosureResult, preset: str | None = None) -> dict:
     }
 
 
+def closure_density_to_json(
+    result: ClosureResult, profile, preset: str | None = None
+) -> dict:
+    """The closure document plus its density profile as [checkpoint, count, density]."""
+    doc = closure_to_json(result, preset=preset)
+    doc["density"] = [[x, c, d] for x, c, d in profile]
+    return doc
+
+
 def density_to_csv(profile) -> str:
     lines = ["checkpoint,count,density"]
     for x, count, dens in profile:
         lines.append("%d,%d,%.8f" % (x, count, dens))
     return "\n".join(lines) + "\n"
+
+
+def prediction_to_json(pred: Prediction) -> dict:
+    return {
+        "schema": SCHEMA,
+        "kind": "prediction",
+        "n": pred.n,
+        "log_n": pred.log_n,
+        "slope": pred.slope,
+        "expected_steps": pred.expected_steps,
+        "upper_bound_steps": pred.upper_bound_steps,
+        "extremal_steps": pred.extremal_steps,
+        "extremal_peak_log": pred.extremal_peak_log,
+    }
 
 
 def prediction_to_text(pred: Prediction) -> str:
@@ -363,6 +428,23 @@ def comparison_to_text(cmp: ModelComparison) -> str:
     if cmp.small_start:
         out.append("note: log n < %.0f, the asymptotic line is a rough guide here" % 10.0)
     return "\n".join(out) + "\n"
+
+
+def comparison_to_json(cmp: ModelComparison) -> dict:
+    return {
+        "schema": SCHEMA,
+        "kind": "model-comparison",
+        "n": cmp.start,
+        "steps": cmp.steps,
+        "expected_steps": cmp.expected_steps,
+        "steps_ratio": cmp.steps_ratio,
+        "slope": cmp.slope,
+        "max_abs_residual": cmp.max_abs_residual,
+        "rms_residual": cmp.rms_residual,
+        "within_upper_bound": cmp.within_upper_bound,
+        "small_start": cmp.small_start,
+        "residuals": list(cmp.residuals),
+    }
 
 
 def residuals_to_csv(cmp: ModelComparison) -> str:

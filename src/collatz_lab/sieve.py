@@ -322,6 +322,8 @@ def verify_range(
         workers = int(os.environ.get(THREADS_ENV, "1") or "1")
     if workers < 1:
         raise ValueError("workers must be >= 1, got %r" % (workers,))
+    if spans_per_chunk < 1:
+        raise ValueError("spans_per_chunk must be >= 1, got %r" % (spans_per_chunk,))
     t0 = time.monotonic()
     if table is None:
         table = build_table(k)

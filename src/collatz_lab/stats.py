@@ -21,35 +21,78 @@ from .trajectory import DEFAULT_LIMITS, IterationLimits, Outcome, Trajectory
 from .util import log_nat
 
 
-def total_stopping_time(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> int | None:
-    """Steps to reach 1, or None when a budget ran out first."""
+def _descend(n: int, limits: IterationLimits):
+    """Walk the orbit of n >= 1 to 1: the one descent behind every statistic here.
+
+    Returns (steps, odd, peak, stop).  steps is the total stopping time,
+    or None when a budget ran out first; odd counts the odd iterates a
+    step was taken from; peak is the largest iterate after the start
+    (0 for n = 1); stop is the least k with the k-th iterate below n,
+    or None if the walk ended before one.  stop is taken before the
+    budget check of its step, so it may be known at step max_steps + 1
+    while steps is None.
+    """
+    max_steps = limits.max_steps
+    max_bits = limits.max_bits
+    x = n
+    steps = 0
+    odd = 0
+    peak = 0
+    stop = None
+    while x != 1:
+        if x & 1:
+            odd += 1
+        x = t_step(x)
+        steps += 1
+        if x > peak:
+            peak = x
+        if stop is None and x < n:
+            stop = steps
+        if steps > max_steps or x.bit_length() > max_bits:
+            return None, odd, peak, stop
+    return steps, odd, peak, stop
+
+
+@dataclass(frozen=True)
+class OrbitSummary:
+    """Every single-start statistic of one orbit, from one descent."""
+
+    n: int
+    total_steps: int | None
+    stopping_time: int | float | None
+    odd_ratio: Fraction | None
+    rho: float | None
+    gamma: float | None
+
+
+def orbit_summary(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> OrbitSummary:
+    """Total stopping time, stopping time, odd-step ratio, rho and gamma of n.
+
+    A statistic is None when the budgets end the walk before it is
+    known.  For n = 1 the stopping time is math.inf and the ratio, rho
+    and gamma are None.
+    """
     if n < 1:
         raise ValueError("positive start required, got %r" % (n,))
-    x = n
-    k = 0
-    while x != 1:
-        x = t_step(x)
-        k += 1
-        if k > limits.max_steps or x.bit_length() > limits.max_bits:
-            return None
-    return k
+    if n == 1:
+        return OrbitSummary(1, 0, math.inf, None, None, None)
+    steps, odd, peak, stop = _descend(n, limits)
+    if steps is None:
+        return OrbitSummary(n, None, stop, None, None, None)
+    log_n = log_nat(n)
+    return OrbitSummary(
+        n, steps, stop, Fraction(odd, steps), log_nat(peak) / log_n, steps / log_n
+    )
+
+
+def total_stopping_time(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> int | None:
+    """Steps to reach 1, or None when a budget ran out first."""
+    return orbit_summary(n, limits).total_steps
 
 
 def stopping_time(n: int, limits: IterationLimits = DEFAULT_LIMITS):
     """Least k with the k-th iterate below n; math.inf for n = 1, None if unknown."""
-    if n < 1:
-        raise ValueError("positive start required, got %r" % (n,))
-    if n == 1:
-        return math.inf
-    x = n
-    k = 0
-    while True:
-        x = t_step(x)
-        k += 1
-        if x < n:
-            return k
-        if k > limits.max_steps or x.bit_length() > limits.max_bits:
-            return None
+    return orbit_summary(n, limits).stopping_time
 
 
 def one_ratio(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> Fraction | None:
@@ -59,48 +102,21 @@ def one_ratio(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> Fraction | No
     taken from, over the total step count.  Undefined (None) for n = 1
     and for starts whose descent exceeds the budgets.
     """
-    if n < 1:
-        raise ValueError("positive start required, got %r" % (n,))
-    if n == 1:
-        return None
-    x = n
-    steps = 0
-    odd = 0
-    while x != 1:
-        if x % 2 == 1:
-            odd += 1
-        x = t_step(x)
-        steps += 1
-        if steps > limits.max_steps or x.bit_length() > limits.max_bits:
-            return None
-    return Fraction(odd, steps)
+    return orbit_summary(n, limits).odd_ratio
 
 
 def rho(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> float | None:
     """log(peak iterate after the start) / log(start), peak taken up to the first 1."""
     if n < 2:
         return None
-    x = n
-    peak = 0
-    steps = 0
-    while x != 1:
-        x = t_step(x)
-        if x > peak:
-            peak = x
-        steps += 1
-        if steps > limits.max_steps or x.bit_length() > limits.max_bits:
-            return None
-    return log_nat(peak) / log_nat(n)
+    return orbit_summary(n, limits).rho
 
 
 def gamma(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> float | None:
     """Total step count scaled by 1 / log(start)."""
     if n < 2:
         return None
-    sigma = total_stopping_time(n, limits)
-    if sigma is None:
-        return None
-    return sigma / log_nat(n)
+    return orbit_summary(n, limits).gamma
 
 
 def rho_from_trajectory(traj: Trajectory) -> float | None:
@@ -173,20 +189,8 @@ def block_census(
     sigmas = []
     unknown = []
     for off in range(length):
-        n = base + off
-        x = n
-        steps = 0
-        odd = 0
-        failed = False
-        while x != 1:
-            if x % 2 == 1:
-                odd += 1
-            x = t_step(x)
-            steps += 1
-            if steps > limits.max_steps or x.bit_length() > limits.max_bits:
-                failed = True
-                break
-        if failed:
+        steps, odd, _, _ = _descend(base + off, limits)
+        if steps is None:
             unknown.append(off)
             sigmas.append(-1)
             continue
@@ -221,21 +225,6 @@ class ReachCount:
     unknown: tuple[int, ...]
 
 
-def _python_descend(n: int, limits: IterationLimits):
-    """Exact sigma and after-start peak for one start, or (None, None)."""
-    x = n
-    steps = 0
-    peak = 0
-    while x != 1:
-        x = t_step(x)
-        steps += 1
-        if x > peak:
-            peak = x
-        if steps > limits.max_steps or x.bit_length() > limits.max_bits:
-            return None, None
-    return steps, peak
-
-
 def _scan_arrays(hi: int, limits: IterationLimits):
     """Kernel scan over [1, hi] with exact patch-up of guarded starts."""
     sigma, peak1 = _kernels.scan_sigma_peak(hi, limits.max_steps)
@@ -243,7 +232,7 @@ def _scan_arrays(hi: int, limits: IterationLimits):
     pending = np.nonzero(sigma == -2)[0]
     for n in pending:
         n = int(n)
-        s, p = _python_descend(n, limits)
+        s, _, p, _ = _descend(n, limits)
         if s is None:
             unknown.append(n)
         else:

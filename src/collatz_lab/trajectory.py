@@ -88,6 +88,74 @@ def _resolve_stop_at_one(map_: GeneralizedCollatzMap, stop_at_one: bool | None) 
     return map_.name in ("3x+1", "collatz")
 
 
+def _walk_cycle(map_: GeneralizedCollatzMap, entry: int, length: int) -> Cycle:
+    members = [entry]
+    x = entry
+    for _ in range(length - 1):
+        x = map_.apply(x)
+        members.append(x)
+    return Cycle.canonical(members)
+
+
+def _follow(map_, n, limits, hash_budget, stop_at_one, values=None, floor=None):
+    """Step the orbit of n until it ends: the one loop behind every orbit here.
+
+    It holds the one cycle detector.  Visited values are hashed until
+    hash_budget total stored bits; past that a single sentinel is
+    parked in the same table, moved at steps spaced 1, 2, 4, ... apart
+    (Brent's power-of-two scheme), which finds any cycle in constant
+    memory, possibly some steps after its first completion.  A repeat
+    gives one member and the cycle length, which is all Cycle.canonical
+    needs.  With floor set, the walk also stops at the first iterate in
+    [floor, n).  Every iterate after the start is appended to values
+    when a list is given.  Returns (outcome, steps, final, peak, odd,
+    cycle), outcome None for a stop at the floor.
+    """
+    if floor is None:
+        floor = n
+    seen: dict[int, int] = {}
+    room = hash_budget
+    sentinel = 0  # no sentinel yet: orbit values are positive
+    park = 0
+    interval = 1
+    x = n
+    steps = 0
+    peak = n
+    odd = 0
+    while True:
+        if stop_at_one and x == 1:
+            return Outcome.REACHED_ONE, steps, x, peak, odd, None
+        prior = seen.get(x)
+        if prior is not None:
+            cycle = _walk_cycle(map_, x, steps - prior)
+            return Outcome.ENTERED_CYCLE, steps, x, peak, odd, cycle
+        if steps >= limits.max_steps:
+            return Outcome.HIT_STEP_LIMIT, steps, x, peak, odd, None
+        if room >= 0:
+            seen[x] = steps
+            room -= x.bit_length()
+        elif steps >= park:
+            seen.pop(sentinel, None)
+            seen[x] = steps
+            sentinel = x
+            park = steps + interval
+            interval *= 2
+        odd += x & 1
+        nxt = map_.apply(x)
+        if nxt is None or nxt < 1:
+            return Outcome.HIT_UNDEFINED, steps, x, peak, odd, None
+        x = nxt
+        steps += 1
+        if values is not None:
+            values.append(x)
+        if x > peak:
+            peak = x
+        if x.bit_length() > limits.max_bits:
+            return Outcome.HIT_BIT_LIMIT, steps, x, peak, odd, None
+        if floor <= x < n:
+            return None, steps, x, peak, odd, None
+
+
 def iterate(
     map_: GeneralizedCollatzMap,
     n: int,
@@ -102,81 +170,18 @@ def iterate(
     off otherwise; pass an explicit flag to override.  Cycle detection
     hashes visited values until hash_budget total stored bits, so a
     divergent orbit costs stepping time but bounded memory; past the
-    budget a doubling sentinel takes over, which still finds any cycle
-    but may confirm it some steps after its first completion.
+    budget a doubling sentinel takes over in the same loop, which still
+    finds any cycle but may confirm it some steps after its first
+    completion.  Every step, hashed or not, draws on max_steps.
     """
     if n < 1:
         raise ValueError("iteration starts at positive integers, got %r" % (n,))
     stop = _resolve_stop_at_one(map_, stop_at_one)
     values = [n] if store_values else None
-    seen: dict[int, int] = {}
-    hashed_bits = 0
-    sentinel = None
-    anchor = 0
-    interval = 1
-    x = n
-    steps = 0
-    peak = n
-    odd = 0
-    while True:
-        if stop and x == 1:
-            return Trajectory(n, Outcome.REACHED_ONE, steps, x, peak,
-                              odd, _freeze(values), None)
-        prior = seen.get(x)
-        if prior is not None:
-            cyc = _walk_cycle(map_, x, steps - prior)
-            return Trajectory(n, Outcome.ENTERED_CYCLE, steps, x, peak,
-                              odd, _freeze(values), cyc)
-        if sentinel is not None and x == sentinel:
-            cyc = _walk_cycle(map_, x, steps - anchor)
-            return Trajectory(n, Outcome.ENTERED_CYCLE, steps, x, peak,
-                              odd, _freeze(values), cyc)
-        if steps >= limits.max_steps:
-            return Trajectory(n, Outcome.HIT_STEP_LIMIT, steps, x, peak,
-                              odd, _freeze(values), None)
-        if hashed_bits <= hash_budget:
-            seen[x] = steps
-            hashed_bits += x.bit_length()
-        elif sentinel is None or steps - anchor == interval:
-            if sentinel is not None:
-                interval *= 2
-            sentinel = x
-            anchor = steps
-        if x % 2 == 1:
-            odd += 1
-        nxt = map_.apply(x)
-        if nxt is None or nxt < 1:
-            return Trajectory(n, Outcome.HIT_UNDEFINED, steps, x, peak,
-                              odd, _freeze(values), None)
-        x = nxt
-        steps += 1
-        if store_values:
-            values.append(x)
-        if x > peak:
-            peak = x
-        if x.bit_length() > limits.max_bits:
-            return Trajectory(n, Outcome.HIT_BIT_LIMIT, steps, x, peak,
-                              odd, _freeze(values), None)
-
-
-def _freeze(values) -> tuple[int, ...] | None:
-    return tuple(values) if values is not None else None
-
-
-def _walk_cycle(map_: GeneralizedCollatzMap, entry: int, length: int) -> Cycle:
-    members = [entry]
-    x = entry
-    for _ in range(length - 1):
-        x = map_.apply(x)
-        members.append(x)
-    return Cycle.canonical(members)
-
-
-def _apply_checked(map_: GeneralizedCollatzMap, x: int) -> int:
-    nxt = map_.apply(x)
-    if nxt is None or nxt < 1:
-        raise UndefinedStepError(x)
-    return nxt
+    outcome, steps, final, peak, odd, cycle = _follow(
+        map_, n, limits, hash_budget, stop, values)
+    return Trajectory(n, outcome, steps, final, peak, odd,
+                      tuple(values) if store_values else None, cycle)
 
 
 def find_cycle(
@@ -187,62 +192,17 @@ def find_cycle(
 ) -> Cycle | None:
     """Locate the cycle the orbit of n eventually enters, if budgets allow.
 
-    Visited values are hashed until hash_budget total stored bits; past
-    that the search continues with Brent's constant-memory algorithm.
-    Both phases draw on one shared step budget.  Returns None when
-    limits end the search first; raises UndefinedStepError if the orbit
+    The orbit is followed by iterate with stop_at_one off, so this
+    answers exactly when iterate reports ENTERED_CYCLE, under the same
+    hash budget and the same step and bit budgets.  Returns None when a
+    limit ends the search first; raises UndefinedStepError if the orbit
     leaves the map's domain.
     """
-    if n < 1:
-        raise ValueError("orbits start at positive integers, got %r" % (n,))
-    seen: dict[int, int] = {}
-    hashed_bits = 0
-    x = n
-    steps = 0
-    while steps < limits.max_steps and hashed_bits <= hash_budget:
-        prior = seen.get(x)
-        if prior is not None:
-            return _walk_cycle(map_, x, steps - prior)
-        seen[x] = steps
-        hashed_bits += x.bit_length()
-        x = _apply_checked(map_, x)
-        steps += 1
-        if x.bit_length() > limits.max_bits:
-            return None
-    if steps >= limits.max_steps:
-        return None
-    return _brent(map_, x, limits, steps)
-
-
-def _brent(map_, x0: int, limits: IterationLimits, steps_used: int) -> Cycle | None:
-    """Brent's teleporting-tortoise search from x0 under shared budgets."""
-    budget = limits.max_steps - steps_used
-    power = 1
-    lam = 1
-    tortoise = x0
-    hare = _apply_checked(map_, x0)
-    used = 1
-    while tortoise != hare:
-        if used >= budget:
-            return None
-        if hare.bit_length() > limits.max_bits:
-            return None
-        if power == lam:
-            tortoise = hare
-            power *= 2
-            lam = 0
-        hare = _apply_checked(map_, hare)
-        lam += 1
-        used += 1
-    # lam is the cycle length; walk lam ahead, then advance in lockstep
-    # to the first repeated value, which must lie on the cycle.
-    tortoise = hare = x0
-    for _ in range(lam):
-        hare = _apply_checked(map_, hare)
-    while tortoise != hare:
-        tortoise = _apply_checked(map_, tortoise)
-        hare = _apply_checked(map_, hare)
-    return _walk_cycle(map_, tortoise, lam)
+    traj = iterate(map_, n, limits, stop_at_one=False, store_values=False,
+                   hash_budget=hash_budget)
+    if traj.outcome is Outcome.HIT_UNDEFINED:
+        raise UndefinedStepError(traj.final)
+    return traj.cycle
 
 
 @dataclass(frozen=True)
@@ -254,6 +214,11 @@ class CycleCensus:
     cycles: tuple[Cycle, ...]
     limit_starts: tuple[int, ...]
     undefined_starts: tuple[int, ...]
+
+
+# cycle_census verdicts other than a Cycle
+_LIMIT = "limit"
+_UNDEFINED = "undefined"
 
 
 def cycle_census(
@@ -269,62 +234,31 @@ def cycle_census(
     the current start inherits that smaller start's classification.  The
     inherited answer is exact: the tail of the orbit is literally the
     smaller start's orbit, and a budget the smaller start exhausted would
-    be exhausted by the longer path as well.
+    be exhausted by the longer path as well.  Orbits that do not dip are
+    followed by the same loop and detector as iterate.  The verdict of
+    start n is kept at index n - lo: a Cycle shared by every start that
+    reaches it, or one of two module constants.
     """
     if lo < 1 or hi < lo:
         raise ValueError("census range must satisfy 1 <= lo <= hi")
     cycles: dict[tuple[int, ...], Cycle] = {}
-    memo: dict[int, tuple] = {}
+    verdicts: list = []
     limit_starts = []
     undefined_starts = []
     for n in range(lo, hi + 1):
-        x = n
-        seen: dict[int, int] = {}
-        hashed_bits = 0
-        steps = 0
-        verdict = None
-        while True:
-            if lo <= x < n:
-                verdict = memo[x]
-                break
-            prior = seen.get(x)
-            if prior is not None:
-                cyc = _walk_cycle(map_, x, steps - prior)
-                verdict = ("cycle", cyc.members)
-                cycles.setdefault(cyc.members, cyc)
-                break
-            if steps >= limits.max_steps:
-                verdict = ("limit",)
-                break
-            if hashed_bits > hash_budget:
-                # hand the tail to the constant-memory search
-                rest = IterationLimits(limits.max_steps - steps, limits.max_bits)
-                try:
-                    cyc = find_cycle(map_, x, rest, hash_budget=0)
-                except UndefinedStepError:
-                    verdict = ("undefined",)
-                    break
-                if cyc is None:
-                    verdict = ("limit",)
-                else:
-                    verdict = ("cycle", cyc.members)
-                    cycles.setdefault(cyc.members, cyc)
-                break
-            seen[x] = steps
-            hashed_bits += x.bit_length()
-            nxt = map_.apply(x)
-            if nxt is None or nxt < 1:
-                verdict = ("undefined",)
-                break
-            x = nxt
-            steps += 1
-            if x.bit_length() > limits.max_bits:
-                verdict = ("limit",)
-                break
-        memo[n] = verdict
-        if verdict[0] == "limit":
+        outcome, _, x, _, _, cycle = _follow(map_, n, limits, hash_budget, False, None, lo)
+        if outcome is None:
+            verdict = verdicts[x - lo]
+        elif cycle is not None:
+            verdict = cycles.setdefault(cycle.members, cycle)
+        elif outcome is Outcome.HIT_UNDEFINED:
+            verdict = _UNDEFINED
+        else:
+            verdict = _LIMIT
+        verdicts.append(verdict)
+        if verdict is _LIMIT:
             limit_starts.append(n)
-        elif verdict[0] == "undefined":
+        elif verdict is _UNDEFINED:
             undefined_starts.append(n)
     ordered = sorted(cycles.values(), key=lambda c: (c.members[0], c.length, c.members))
     return CycleCensus(lo, hi, tuple(ordered), tuple(limit_starts), tuple(undefined_starts))

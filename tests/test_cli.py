@@ -5,6 +5,7 @@ Each test drives main() in process and checks the exit code contract:
 or anomaly found.
 """
 
+import hashlib
 import json
 
 import pytest
@@ -168,6 +169,14 @@ class TestVerify:
     def test_missing_range_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--from", "1")
         assert code == 1
+
+    @pytest.mark.parametrize("spans", ["0", "-1"])
+    def test_spans_per_chunk_below_one_is_input_error(self, capsys, spans):
+        code, out, err = run_cli(capsys, "verify", "--from", "1", "--to", "1e6",
+                                 "--sieve-k", "12", "--spans-per-chunk", spans)
+        assert code == 1
+        assert out == ""
+        assert "spans_per_chunk" in err
 
 
 class TestRecords:
@@ -355,3 +364,118 @@ class TestParsing:
         code = main(["traj", "abc"])
         capsys.readouterr()
         assert code == 1
+
+
+# Exact stdout of the commands whose JSON documents and text views are
+# built in render; any change to a byte of these outputs fails here.
+GOLDEN_STDOUT = [
+    (("stats", "27"), 0,
+     "n = 27\n"
+     "steps to reach 1:   70\n"
+     "steps to drop below n: 59\n"
+     "odd-step ratio:     41/70 = 0.58571\n"
+     "log peak / log n:   2.55998\n"
+     "steps / log n:      21.2389\n"),
+    (("stats", "27", "--format", "json"), 0,
+     '{\n'
+     '  "schema": "collatz-lab/1",\n'
+     '  "kind": "stats",\n'
+     '  "n": 27,\n'
+     '  "total_steps": 70,\n'
+     '  "stopping_time": 59,\n'
+     '  "odd_ratio": [\n'
+     '    41,\n'
+     '    70\n'
+     '  ],\n'
+     '  "odd_ratio_text": "0.58571",\n'
+     '  "peak_log_ratio": 2.5599822294653745,\n'
+     '  "steps_per_log": 21.23891528795954\n'
+     '}\n'),
+    (("stats", "1"), 0,
+     "n = 1\n"
+     "steps to reach 1:   0\n"
+     "steps to drop below n: never (n = 1)\n"),
+    (("stats", "1", "--format", "json"), 0,
+     '{\n'
+     '  "schema": "collatz-lab/1",\n'
+     '  "kind": "stats",\n'
+     '  "n": 1,\n'
+     '  "total_steps": 0,\n'
+     '  "stopping_time": "infinity",\n'
+     '  "odd_ratio": null,\n'
+     '  "odd_ratio_text": null,\n'
+     '  "peak_log_ratio": null,\n'
+     '  "steps_per_log": null\n'
+     '}\n'),
+    (("stats", "100*floor(pi*1e35)"), 0,
+     "n = 31415926535897932384626433832795028800\n"
+     "steps to reach 1:   529\n"
+     "steps to drop below n: 1\n"
+     "odd-step ratio:     255/529 = 0.48204\n"
+     "log peak / log n:   0.99197\n"
+     "steps / log n:      6.1269\n"),
+    (("stats", "100*floor(pi*1e35)", "--format", "json"), 0,
+     '{\n'
+     '  "schema": "collatz-lab/1",\n'
+     '  "kind": "stats",\n'
+     '  "n": 31415926535897932384626433832795028800,\n'
+     '  "total_steps": 529,\n'
+     '  "stopping_time": 1,\n'
+     '  "odd_ratio": [\n'
+     '    255,\n'
+     '    529\n'
+     '  ],\n'
+     '  "odd_ratio_text": "0.48204",\n'
+     '  "peak_log_ratio": 0.9919719232878764,\n'
+     '  "steps_per_log": 6.126913157581635\n'
+     '}\n'),
+    (("stats", "27", "--limit-steps", "10", "--format", "json"), 2,
+     '{\n'
+     '  "schema": "collatz-lab/1",\n'
+     '  "kind": "stats",\n'
+     '  "n": 27,\n'
+     '  "total_steps": null,\n'
+     '  "stopping_time": null,\n'
+     '  "odd_ratio": null,\n'
+     '  "odd_ratio_text": null,\n'
+     '  "peak_log_ratio": null,\n'
+     '  "steps_per_log": null\n'
+     '}\n'),
+    (("predict", "27", "--format", "json"), 0,
+     '{\n'
+     '  "schema": "collatz-lab/1",\n'
+     '  "kind": "prediction",\n'
+     '  "n": 27,\n'
+     '  "log_n": 3.295836866004329,\n'
+     '  "slope": -0.14384103622589045,\n'
+     '  "expected_steps": 22.913050075838516,\n'
+     '  "upper_bound_steps": 137.36272547091474,\n'
+     '  "extremal_steps": 71.0252844623933,\n'
+     '  "extremal_peak_log": 6.591673732008658\n'
+     '}\n'),
+]
+
+# Longer documents are frozen by length and SHA-256 of their stdout.
+GOLDEN_DIGESTS = [
+    (("compare", "27", "--format", "json"), 0, 1986,
+     "b709438e461b0201c9d57284bd8e99873c861a68aaab59168939d0e5759c94ef"),
+    (("sets", "closure", "--preset", "s1", "--bound", "1000", "--format", "json"), 0, 2580,
+     "a0279e711f96a161a384d7b49c8cfef1ee57f3a2644d547e0d487fbdbb050c5a"),
+]
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("argv,code,expected", GOLDEN_STDOUT,
+                             ids=[" ".join(c[0]) for c in GOLDEN_STDOUT])
+    def test_stdout_is_frozen(self, capsys, argv, code, expected):
+        got_code, out, _ = run_cli(capsys, *argv)
+        assert got_code == code
+        assert out == expected
+
+    @pytest.mark.parametrize("argv,code,size,digest", GOLDEN_DIGESTS,
+                             ids=[" ".join(c[0]) for c in GOLDEN_DIGESTS])
+    def test_stdout_digest_is_frozen(self, capsys, argv, code, size, digest):
+        got_code, out, _ = run_cli(capsys, *argv)
+        assert got_code == code
+        assert len(out) == size
+        assert hashlib.sha256(out.encode()).hexdigest() == digest

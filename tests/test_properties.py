@@ -14,7 +14,15 @@ from hypothesis import strategies as st
 
 from collatz_lab.maps import collatz_step, t_map, t_step, u_map
 from collatz_lab.sieve import build_table, k_step, parity_bijection_check
-from collatz_lab.stats import parity_vector, total_stopping_time
+from collatz_lab.stats import (
+    gamma,
+    one_ratio,
+    orbit_summary,
+    parity_vector,
+    rho,
+    stopping_time,
+    total_stopping_time,
+)
 from collatz_lab.tag import collatz_tag, post_tag, run_tag
 from collatz_lab.trajectory import IterationLimits, Outcome, iterate
 from collatz_lab.util import format_fixed5, log_nat
@@ -88,6 +96,47 @@ def test_trajectory_bookkeeping(n):
 def test_total_stopping_time_matches_trajectory(n):
     traj = iterate(t_map(), n)
     assert total_stopping_time(n) == traj.steps
+
+
+@given(
+    st.one_of(st.integers(min_value=1, max_value=600), st.integers(min_value=1, max_value=2**80)),
+    st.integers(min_value=0, max_value=100),
+    st.integers(min_value=1, max_value=64),
+)
+@settings(max_examples=300, deadline=None)
+def test_single_start_statistics_match_a_plain_orbit(n, max_steps, max_bits):
+    # The orbit is listed up to 1, or up to the first iterate that takes
+    # more than max_steps steps or has more than max_bits bits.
+    limits = IterationLimits(max_steps=max_steps, max_bits=max_bits)
+    orbit = [n]
+    ran_out = False
+    while orbit[-1] != 1 and not ran_out:
+        orbit.append(t_step(orbit[-1]))
+        ran_out = len(orbit) - 1 > max_steps or orbit[-1].bit_length() > max_bits
+    sigma = None if ran_out else len(orbit) - 1
+    # The first drop below n counts even on the step that ran out.
+    drops = [k for k, x in enumerate(orbit) if x < n]
+    stop = math.inf if n == 1 else (drops[0] if drops else None)
+    if sigma is None or n == 1:
+        ratio = peak_ratio = steps_ratio = None
+    else:
+        ratio = Fraction(sum(x & 1 for x in orbit[:-1]), sigma)
+        peak_ratio = log_nat(max(orbit[1:])) / log_nat(n)
+        steps_ratio = sigma / log_nat(n)
+    assert total_stopping_time(n, limits) == sigma
+    assert stopping_time(n, limits) == stop
+    assert one_ratio(n, limits) == ratio
+    assert rho(n, limits) == peak_ratio
+    assert gamma(n, limits) == steps_ratio
+    summary = orbit_summary(n, limits)
+    assert (summary.total_steps, summary.stopping_time, summary.odd_ratio,
+            summary.rho, summary.gamma) == (sigma, stop, ratio, peak_ratio, steps_ratio)
+
+
+def test_stopping_time_may_answer_on_the_step_past_the_budget():
+    limits = IterationLimits(max_steps=0, max_bits=64)
+    assert stopping_time(6, limits) == 1
+    assert total_stopping_time(6, limits) is None
 
 
 @given(st.integers(min_value=1, max_value=10**12))

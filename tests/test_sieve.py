@@ -159,6 +159,13 @@ class TestVerifyRange:
         with pytest.raises(ValueError):
             verify_range(100, 10)
 
+    @pytest.mark.parametrize("spans", [0, -1])
+    def test_rejects_spans_per_chunk_below_one(self, spans):
+        # A non-positive chunk size would plan no survivor chunks and
+        # report the uncomputed starts as skipped.
+        with pytest.raises(ValueError, match="spans_per_chunk"):
+            verify_range(1, 10**5, k=12, spans_per_chunk=spans)
+
     def test_forced_recheck_path_keeps_counts(self):
         # max_jumps=1 starves the jump kernel so survivors surface as
         # unresolved and go through the exact big-int recheck.

@@ -77,7 +77,7 @@ class TestIterate:
 
     def test_cycle_found_past_hash_budget(self):
         # hash_budget=0 disables value hashing after the first entry;
-        # the stepping loop plus the trailing Brent pass must still
+        # the doubling sentinel in the same stepping loop must still
         # classify the orbit identically.
         a = iterate(t_map(), 27, stop_at_one=False, hash_budget=0)
         b = iterate(t_map(), 27, stop_at_one=False)
@@ -121,6 +121,54 @@ class TestFindCycle:
         part = make_general_map(2, [(1, 1), (3, 1)], allow_partial=True)
         with pytest.raises(UndefinedStepError):
             find_cycle(part, 8)
+
+
+_AGREEMENT_MAPS = {
+    "3x+1": t_map(), "5x+1": t5_map(), "u": u_map(),
+    "3x+5": make_3k_map(5), "3x+7": make_3k_map(7),
+}
+_AGREEMENT_LIMITS = [
+    IterationLimits(10_000, 4096), IterationLimits(2000, 256),
+    IterationLimits(300, 128), IterationLimits(60, 4096),
+]
+
+
+def _by_find_cycle(map_, n, limits, hash_budget):
+    try:
+        cycle = find_cycle(map_, n, limits, hash_budget=hash_budget)
+    except UndefinedStepError:
+        return "undefined"
+    return "limit" if cycle is None else cycle.members
+
+
+def _by_iterate(map_, n, limits, hash_budget):
+    traj = iterate(map_, n, limits, stop_at_one=False, store_values=False,
+                   hash_budget=hash_budget)
+    if traj.outcome is Outcome.ENTERED_CYCLE:
+        return traj.cycle.members
+    return "undefined" if traj.outcome is Outcome.HIT_UNDEFINED else "limit"
+
+
+def _by_census(map_, n, limits, hash_budget):
+    census = cycle_census(map_, n, n, limits, hash_budget=hash_budget)
+    if census.limit_starts:
+        return "limit"
+    return "undefined" if census.undefined_starts else census.cycles[0].members
+
+
+@pytest.mark.parametrize("map_name", sorted(_AGREEMENT_MAPS))
+@pytest.mark.parametrize("limits", _AGREEMENT_LIMITS,
+                         ids=lambda lim: "%d-%d" % (lim.max_steps, lim.max_bits))
+def test_one_budget_rule_for_cycles(map_name, limits):
+    # find_cycle, iterate and a one-start census must classify every
+    # start alike, budget boundaries included: a repeat met at step
+    # max_steps still counts, and every step draws on one budget.
+    map_ = _AGREEMENT_MAPS[map_name]
+    for hash_budget in (0, 64, 1 << 26):
+        for n in range(1, 400):
+            expected = _by_iterate(map_, n, limits, hash_budget)
+            assert _by_find_cycle(map_, n, limits, hash_budget) == expected, (n, hash_budget)
+            assert _by_census(map_, n, limits, hash_budget) == expected, (n, hash_budget)
 
 
 class TestCycleCensus:
