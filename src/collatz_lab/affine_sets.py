@@ -16,7 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .maps import t_step
+from . import stats
+from .trajectory import DEFAULT_LIMITS
+
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 @dataclass(frozen=True)
@@ -120,11 +123,7 @@ def closure_up_to(
 DEFAULT_HEADROOM_BITS = 20
 
 
-def backward_collatz_set(
-    bound: int,
-    ceiling: int | None = None,
-    max_steps: int = 10**6,
-) -> ClosureResult:
+def backward_collatz_set(bound: int, ceiling: int | None = None) -> ClosureResult:
     """Closure of {1} under x -> 2x and x = 2 mod 3 -> (2x - 1) / 3, up to bound.
 
     Both maps invert one halved 3x+1 step, and every m > 1 is the
@@ -133,8 +132,12 @@ def backward_collatz_set(
     of generator applications from 1 to m is therefore the reversed
     orbit of m, so m belongs to the ceiling-bounded closure exactly
     when its orbit reaches 1 without any iterate exceeding the
-    ceiling.  That test runs forward here, which avoids exploring the
-    whole closure up to the much larger ceiling.
+    ceiling.  That test runs forward, on the records scan's steps to 1
+    and after-start peak of every m in [1, bound] under DEFAULT_LIMITS,
+    which avoids exploring the whole closure up to the much larger
+    ceiling.  The scan stores a peak above int64 as INT64_MAX, so under
+    a ceiling at least that large such a start is decided from its
+    exact peak.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -142,32 +145,15 @@ def backward_collatz_set(
         ceiling = bound << DEFAULT_HEADROOM_BITS
     if ceiling < bound:
         raise ValueError("ceiling below bound would cut off the requested range")
-    verdict = np.zeros(bound + 1, dtype=np.int8)  # 0 unknown, 1 in, -1 out
-    verdict[1] = 1
-    pruned = False
-    for m in range(2, bound + 1):
-        x = m
-        peak_ok = x <= ceiling
-        steps = 0
-        while x >= m and x != 1:
-            x = t_step(x)
-            steps += 1
-            if x > ceiling:
-                peak_ok = False
-            if steps > max_steps:
-                break
-        if steps > max_steps:
-            verdict[m] = -1
-            pruned = True
-            continue
-        inherited = verdict[x] == 1 if x > 1 else True
-        if peak_ok and inherited:
-            verdict[m] = 1
-        else:
-            verdict[m] = -1
-            pruned = True
-    members = tuple(int(i) for i in np.nonzero(verdict == 1)[0])
-    return ClosureResult(ceiling=ceiling, members=members, pruned=pruned, exact=True)
+    sigma, peak1, _ = stats._scan_arrays(bound, DEFAULT_LIMITS)
+    inside = (sigma >= 0) & (peak1 <= min(ceiling, _INT64_MAX))
+    if ceiling >= _INT64_MAX:
+        for m in np.flatnonzero(inside & (peak1 == _INT64_MAX)):
+            inside[m] = stats._descend(int(m), DEFAULT_LIMITS)[2] <= ceiling
+    members = tuple(int(m) for m in np.flatnonzero(inside))
+    return ClosureResult(
+        ceiling=ceiling, members=members, pruned=len(members) < bound, exact=True
+    )
 
 
 def backward_collatz_generators() -> tuple[AffineGenerator, AffineGenerator]:

@@ -7,6 +7,7 @@ undecided, 3 a genuine counterexample or anomaly was found.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -36,6 +37,12 @@ def _emit(text: str, path: str | None) -> None:
 
 def _json_text(doc: dict) -> str:
     return json.dumps(doc, indent=2) + "\n"
+
+
+def _show(args, subject, **views) -> None:
+    """Write the view of subject that --format picks: text, or a JSON document."""
+    out = views[args.format](subject)
+    _emit(out if isinstance(out, str) else _json_text(out), args.out)
 
 
 def _limits(args) -> IterationLimits:
@@ -69,36 +76,16 @@ def _cmd_traj(args) -> int:
     traj = iterate(
         map_, args.n, limits=_limits(args), stop_at_one=stop, store_values=store
     )
-    if args.format == "csv":
-        _emit(render.trajectory_to_csv(traj), args.out)
-    elif args.format == "json":
-        _emit(_json_text(render.trajectory_to_json(traj)), args.out)
-    elif args.format == "svg":
-        slope = model.EXPECTED_SLOPE if args.model_overlay else None
-        _emit(
-            render.trajectory_svg(traj, log_scale=not args.linear, model_slope=slope),
-            args.out,
-        )
-    else:
-        lines = [
-            "start %d under %s: %s after %d steps"
-            % (traj.start, map_.name or str(map_), traj.outcome.value, traj.steps),
-            "peak %d, final %d, odd steps %d" % (traj.peak, traj.final, traj.odd_count),
-        ]
-        if traj.cycle is not None:
-            lines.append("cycle: %s" % (list(traj.cycle.members),))
-        if args.values and traj.values is not None:
-            lines.append("values: %s" % " ".join(str(v) for v in traj.values))
-        _emit("\n".join(lines) + "\n", args.out)
+    slope = model.EXPECTED_SLOPE if args.model_overlay else None
+    _show(args, traj, text=lambda t: render.trajectory_to_text(t, map_),
+          csv=render.trajectory_to_csv, json=render.trajectory_to_json,
+          svg=lambda t: render.trajectory_svg(t, log_scale=not args.linear, model_slope=slope))
     return 2 if traj.outcome in _LIMIT_OUTCOMES else 0
 
 
 def _cmd_stats(args) -> int:
     summary = stats.orbit_summary(args.n, _limits(args))
-    if args.format == "json":
-        _emit(_json_text(render.stats_to_json(summary)), args.out)
-    else:
-        _emit(render.stats_to_text(summary), args.out)
+    _show(args, summary, text=render.stats_to_text, json=render.stats_to_json)
     return 2 if summary.total_steps is None or summary.stopping_time is None else 0
 
 
@@ -106,12 +93,8 @@ def _cmd_census(args) -> int:
     census = stats.block_census(
         args.base, args.length, limits=_limits(args), strict_ratio=False
     )
-    if args.format == "csv":
-        _emit(render.census_to_csv(census), args.out)
-    elif args.format == "json":
-        _emit(_json_text(render.census_to_json(census)), args.out)
-    else:
-        _emit(render.format_census_text(census), args.out)
+    _show(args, census, text=render.format_census_text,
+          csv=render.census_to_csv, json=render.census_to_json)
     if census.anomalies and args.strict_ratio:
         return 3
     return 2 if census.unknown_offsets else 0
@@ -133,10 +116,7 @@ def _cmd_verify(args) -> int:
         spans_per_chunk=args.spans_per_chunk,
         on_progress=progress,
     )
-    if args.format == "json":
-        _emit(_json_text(render.report_to_json(report)), args.out)
-    else:
-        _emit(render.report_to_text(report), args.out)
+    _show(args, report, text=render.report_to_text, json=render.report_to_json)
     return 3 if report.counterexamples else 0
 
 
@@ -144,12 +124,8 @@ def _cmd_records(args) -> int:
     scan = stats.scan_records(
         args.lo, args.hi, gamma_threshold=args.threshold, limits=_limits(args)
     )
-    if args.format == "csv":
-        _emit(render.records_to_csv(scan), args.out)
-    elif args.format == "json":
-        _emit(_json_text(render.records_to_json(scan)), args.out)
-    else:
-        _emit(render.records_to_text(scan), args.out)
+    _show(args, scan, text=render.records_to_text,
+          csv=render.records_to_csv, json=render.records_to_json)
     return 2 if scan.unknown else 0
 
 
@@ -158,10 +134,7 @@ def _cmd_predict(args) -> int:
     if n is None:
         raise ValueError("give a start, positionally or with --n")
     pred = model.predict(n)
-    if args.format == "json":
-        _emit(_json_text(render.prediction_to_json(pred)), args.out)
-    else:
-        _emit(render.prediction_to_text(pred), args.out)
+    _show(args, pred, text=render.prediction_to_text, json=render.prediction_to_json)
     return 0
 
 
@@ -175,12 +148,8 @@ def _cmd_compare(args) -> int:
         )
         return 2
     cmp_ = model.compare(traj)
-    if args.format == "csv":
-        _emit(render.residuals_to_csv(cmp_), args.out)
-    elif args.format == "json":
-        _emit(_json_text(render.comparison_to_json(cmp_)), args.out)
-    else:
-        _emit(render.comparison_to_text(cmp_), args.out)
+    _show(args, cmp_, text=render.comparison_to_text,
+          csv=render.residuals_to_csv, json=render.comparison_to_json)
     return 0
 
 
@@ -212,12 +181,8 @@ def _cmd_tag_run(args) -> int:
         target=args.target,
         keep_trace=keep_trace,
     )
-    if args.format == "json":
-        _emit(_json_text(render.tagrun_to_json(run)), args.out)
-    elif args.format == "csv":
-        _emit(render.tagrun_trace_csv(run), args.out)
-    else:
-        _emit(render.tagrun_to_text(run), args.out)
+    _show(args, run, text=render.tagrun_to_text,
+          csv=render.tagrun_trace_csv, json=render.tagrun_to_json)
     if run.outcome in (tag.TagOutcome.HIT_STEP_LIMIT, tag.TagOutcome.HIT_LENGTH_LIMIT):
         return 2
     return 0
@@ -225,20 +190,14 @@ def _cmd_tag_run(args) -> int:
 
 def _cmd_tag_check(args) -> int:
     ok = tag.collatz_tag_check(args.n)
-    print(
-        "all-zero lengths %s the halved 3x+1 orbit of %d"
-        % ("match" if ok else "DO NOT match", args.n)
-    )
+    _emit(render.tag_check_to_text(args.n, ok), None)
     return 0 if ok else 3
 
 
 def _cmd_cycles(args) -> int:
     map_ = parse_map_spec(args.map)
     census = cycle_census(map_, args.lo, args.hi, limits=_limits(args))
-    if args.format == "json":
-        _emit(_json_text(render.cycles_to_json(census)), args.out)
-    else:
-        _emit(render.cycles_to_text(census), args.out)
+    _show(args, census, text=render.cycles_to_text, json=render.cycles_to_json)
     return 2 if census.limit_starts else 0
 
 
@@ -262,56 +221,28 @@ def _cmd_sets_closure(args) -> int:
     else:
         preset = args.preset or "s1"
         result = affine_sets.preset_closure(preset, args.bound, ceiling=args.ceiling)
-    members = [m for m in result.members if m <= args.bound]
+    members = tuple(m for m in result.members if m <= args.bound)
     if args.checkpoints:
         marks = [parse_natural(t) for t in args.checkpoints.split(",")]
     else:
         marks = [10**e for e in range(3, 19) if 10**e <= args.bound] or [args.bound]
     profile = affine_sets.density_profile(members, marks)
-    if args.format == "members":
-        _emit("member\n" + "".join("%d\n" % m for m in members), args.out)
-    elif args.format == "csv":
-        _emit(render.density_to_csv(profile), args.out)
-    elif args.format == "json":
-        bounded = affine_sets.ClosureResult(
-            result.ceiling, tuple(members), result.pruned, result.exact
-        )
-        _emit(_json_text(render.closure_density_to_json(bounded, profile, preset)), args.out)
-    else:
-        lines = [
-            "%d members up to %d%s"
-            % (len(members), args.bound, "" if result.exact else " (may be incomplete)")
-        ]
-        if len(members) <= 60:
-            lines.append("members: %s" % " ".join(str(m) for m in members))
-        lines.append("checkpoint  count  density")
-        for x, c, d in profile:
-            lines.append("%10d  %5d  %.6f" % (x, c, d))
-        _emit("\n".join(lines) + "\n", args.out)
+    bounded = affine_sets.ClosureResult(result.ceiling, members, result.pruned, result.exact)
+    _show(args, bounded, text=lambda r: render.closure_to_text(r, profile, args.bound),
+          members=render.members_to_text, csv=lambda r: render.density_to_csv(profile),
+          json=lambda r: render.closure_density_to_json(r, profile, preset))
     return 0
 
 
 def _cmd_orbit(args) -> int:
     store = args.values or args.format != "text"
     traj = permutation_orbit(args.n, limits=_limits(args), store_values=store)
-    if args.format == "csv":
-        _emit(render.trajectory_to_csv(traj), args.out)
-    elif args.format == "json":
-        _emit(_json_text(render.trajectory_to_json(traj)), args.out)
-    else:
-        lines = [
-            "orbit of %d under the even/4n+1/4n+3 permutation: %s after %d steps"
-            % (traj.start, traj.outcome.value, traj.steps),
-            "peak %d, final %d" % (traj.peak, traj.final),
-        ]
-        if traj.cycle is not None:
-            lines.append("cycle: %s" % (list(traj.cycle.members),))
-        if args.values and traj.values is not None:
-            lines.append("values: %s" % " ".join(str(v) for v in traj.values))
-        _emit("\n".join(lines) + "\n", args.out)
+    _show(args, traj, text=render.orbit_to_text,
+          csv=render.trajectory_to_csv, json=render.trajectory_to_json)
     return 2 if traj.outcome in _LIMIT_OUTCOMES else 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="collatz-lab",

@@ -11,6 +11,7 @@ import math
 from fractions import Fraction
 
 from .affine_sets import ClosureResult
+from .maps import GeneralizedCollatzMap
 from .model import ModelComparison, Prediction
 from .sieve import VerificationReport
 from .stats import BlockCensus, OrbitSummary, RecordScan
@@ -127,6 +128,35 @@ def stats_to_text(summary: OrbitSummary) -> str:
     if summary.gamma is not None:
         lines.append("steps / log n:      %.4f" % summary.gamma)
     return "\n".join(lines) + "\n"
+
+
+def _cycle_and_values(traj: Trajectory) -> list[str]:
+    lines = []
+    if traj.cycle is not None:
+        lines.append("cycle: %s" % (list(traj.cycle.members),))
+    if traj.values is not None:
+        lines.append("values: %s" % " ".join(str(v) for v in traj.values))
+    return lines
+
+
+def trajectory_to_text(traj: Trajectory, map_: GeneralizedCollatzMap) -> str:
+    """Outcome, peak and odd steps; the cycle and values when recorded."""
+    lines = [
+        "start %d under %s: %s after %d steps"
+        % (traj.start, map_.name or str(map_), traj.outcome.value, traj.steps),
+        "peak %d, final %d, odd steps %d" % (traj.peak, traj.final, traj.odd_count),
+    ]
+    return "\n".join(lines + _cycle_and_values(traj)) + "\n"
+
+
+def orbit_to_text(traj: Trajectory) -> str:
+    """The permutation orbit's outcome and peak; the cycle and values when recorded."""
+    lines = [
+        "orbit of %d under the even/4n+1/4n+3 permutation: %s after %d steps"
+        % (traj.start, traj.outcome.value, traj.steps),
+        "peak %d, final %d" % (traj.peak, traj.final),
+    ]
+    return "\n".join(lines + _cycle_and_values(traj)) + "\n"
 
 
 def trajectory_to_csv(traj: Trajectory) -> str:
@@ -365,6 +395,25 @@ def closure_to_json(result: ClosureResult, preset: str | None = None) -> dict:
     }
 
 
+def closure_to_text(result: ClosureResult, profile, bound: int) -> str:
+    """Member count up to bound, the members when few, and the density profile."""
+    members = result.members
+    lines = [
+        "%d members up to %d%s"
+        % (len(members), bound, "" if result.exact else " (may be incomplete)")
+    ]
+    if len(members) <= 60:
+        lines.append("members: %s" % " ".join(str(m) for m in members))
+    lines.append("checkpoint  count  density")
+    for x, c, d in profile:
+        lines.append("%10d  %5d  %.6f" % (x, c, d))
+    return "\n".join(lines) + "\n"
+
+
+def members_to_text(result: ClosureResult) -> str:
+    return "member\n" + "".join("%d\n" % m for m in result.members)
+
+
 def closure_density_to_json(
     result: ClosureResult, profile, preset: str | None = None
 ) -> dict:
@@ -474,6 +523,11 @@ def tagrun_to_text(run: TagRun) -> str:
         for step, length, head in run.trace:
             out.append("%4d  %6d  %s" % (step, length, head if head >= 0 else "-"))
     return "\n".join(out) + "\n"
+
+
+def tag_check_to_text(n: int, ok: bool) -> str:
+    return "all-zero lengths %s the halved 3x+1 orbit of %d\n" % (
+        "match" if ok else "DO NOT match", n)
 
 
 def tagrun_trace_csv(run: TagRun) -> str:

@@ -13,7 +13,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
-from .maps import t_step
+from .maps import t_map
+from .trajectory import DEFAULT_LIMITS, Outcome, iterate
 
 
 class TagSpecError(ValueError):
@@ -208,21 +209,22 @@ def run_tag(
 
 
 def collatz_tag_check(n: int, max_steps: int = 10**7) -> bool:
-    """All-zero lengths of the run from 0^n equal the halved 3x+1 orbit of n."""
+    """All-zero lengths of the run from 0^n equal the halved 3x+1 orbit of n.
+
+    False also when the orbit does not reach 1 within DEFAULT_LIMITS.
+    """
     if n < 1:
         raise ValueError("need n >= 1")
-    orbit = [n]
-    x = n
-    while x != 1:
-        x = t_step(x)
-        orbit.append(x)
+    traj = iterate(t_map(), n, DEFAULT_LIMITS)
+    if traj.outcome is not Outcome.REACHED_ONE:
+        return False
     run = run_tag(
         collatz_tag(),
         "0" * n,
         max_steps=max_steps,
-        max_length=max(16, 4 * max(orbit)),
+        max_length=max(16, 4 * traj.peak),
         hash_budget=0,
     )
     if run.outcome is not TagOutcome.HALTED:
         return False
-    return [length for _, length in run.zero_lengths] == orbit
+    return tuple(length for _, length in run.zero_lengths) == traj.values

@@ -231,13 +231,17 @@ def cycle_census(
     """Classify every start in [lo, hi]: which cycle it reaches, or why not.
 
     Starts are processed in increasing order and an orbit that dips below
-    the current start inherits that smaller start's classification.  The
-    inherited answer is exact: the tail of the orbit is literally the
+    the current start inherits that smaller start's classification.  An
+    inherited cycle is genuine: the tail of the orbit is literally the
     smaller start's orbit, and a budget the smaller start exhausted would
-    be exhausted by the longer path as well.  Orbits that do not dip are
-    followed by the same loop and detector as iterate.  The verdict of
-    start n is kept at index n - lo: a Cycle shared by every start that
-    reaches it, or one of two module constants.
+    be exhausted by the longer path as well.  The walk to the dip and the
+    smaller start's walk draw on separate budgets, though, so a start may
+    be credited with a cycle that its own walk would not reach within the
+    limits: under IterationLimits(60, 4096), 27 dips at step 59 and
+    inherits the cycle [1, 2], while iterate stops it at the step limit.
+    Orbits that do not dip are followed by the same loop and detector as
+    iterate.  The verdict of start n is kept at index n - lo: a Cycle
+    shared by every start that reaches it, or one of two module constants.
     """
     if lo < 1 or hi < lo:
         raise ValueError("census range must satisfy 1 <= lo <= hi")

@@ -1,5 +1,6 @@
 """Tests for affine-generated sets: guards, closures, presets, densities."""
 
+import numpy as np
 import pytest
 
 from collatz_lab import (
@@ -10,6 +11,7 @@ from collatz_lab import (
     density_profile,
     preset_closure,
 )
+from collatz_lab import stats
 from collatz_lab.affine_sets import PRESET_GENERATORS, PRESET_SEEDS
 
 
@@ -93,10 +95,51 @@ class TestBackwardSet:
         # The breadth-first pass explores chains below the ceiling; the
         # forward orbit test decides the same set, because each value
         # has exactly one generator chain, its reversed orbit.
-        for ceiling in (30, 100, 500):
+        for ceiling in (30, 100, 500, 4615, 4616):
             bfs = closure_up_to(backward_collatz_generators(), [1], ceiling)
             fwd = backward_collatz_set(ceiling, ceiling=ceiling)
             assert bfs.members == fwd.members
+
+    @pytest.mark.parametrize("bound,ceiling", [
+        (1, 1), (30, 100), (100, 4615), (100, 4616), (500, 10**4), (2000, 10**6),
+    ])
+    def test_members_are_the_starts_whose_orbit_stays_under_the_ceiling(self, bound, ceiling):
+        def orbit_peak(m):
+            top = m
+            while m != 1:
+                m = m // 2 if m % 2 == 0 else (3 * m + 1) // 2
+                top = max(top, m)
+            return top
+
+        expected = tuple(m for m in range(1, bound + 1) if orbit_peak(m) <= ceiling)
+        res = backward_collatz_set(bound, ceiling=ceiling)
+        assert res.members == expected
+        assert res.pruned == (len(expected) < bound)
+        assert res.exact
+
+    @pytest.mark.parametrize("exact_peak,member", [(None, True), (2**70, True), (2**70 + 1, False)])
+    def test_capped_peak_is_decided_from_the_exact_peak(self, monkeypatch, exact_peak, member):
+        # The records scan stores a peak above int64 as INT64_MAX; under a
+        # ceiling beyond int64 such a start is judged by its exact peak.
+        scan, descend = stats._scan_arrays, stats._descend
+
+        def capped_scan(hi, limits):
+            sigma, peak1, unknown = scan(hi, limits)
+            peak1[27] = np.iinfo(np.int64).max
+            return sigma, peak1, unknown
+
+        def descend_27(n, limits):
+            steps, odd, peak, stop = descend(n, limits)
+            if n == 27 and exact_peak is not None:
+                peak = exact_peak
+            return steps, odd, peak, stop
+
+        monkeypatch.setattr(stats, "_scan_arrays", capped_scan)
+        monkeypatch.setattr(stats, "_descend", descend_27)
+        res = backward_collatz_set(100, ceiling=2**70)
+        assert (27 in res.members) is member
+        assert set(range(1, 101)) - set(res.members) == (set() if member else {27})
+        assert res.pruned is not member
 
     def test_rejects_ceiling_below_bound(self):
         with pytest.raises(ValueError):

@@ -365,6 +365,23 @@ class TestParsing:
         capsys.readouterr()
         assert code == 1
 
+    def test_parse_error_leaves_the_shared_parser_usable(self, capsys):
+        # The parser is built once per process; a failed parse must not
+        # change what the next call, of another subcommand, sees.
+        assert main(["traj", "abc"]) == 1
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "traj", "27")
+        assert code == 0
+        assert out == (
+            "start 27 under 3x+1: reached-one after 70 steps\n"
+            "peak 4616, final 1, odd steps 41\n"
+        )
+        assert main(["sets", "closure", "--preset", "s9", "--bound", "5"]) == 1
+        capsys.readouterr()
+        code, out, _ = run_cli(capsys, "stats", "27", "--limit-steps", "10")
+        assert code == 2
+        assert out == "n = 27\nsteps to reach 1:   unknown\nsteps to drop below n: unknown\n"
+
 
 # Exact stdout of the commands whose JSON documents and text views are
 # built in render; any change to a byte of these outputs fails here.
@@ -453,6 +470,101 @@ GOLDEN_STDOUT = [
      '  "extremal_steps": 71.0252844623933,\n'
      '  "extremal_peak_log": 6.591673732008658\n'
      '}\n'),
+    # Text, CSV and members views, each written through cli._show.
+    (("traj", "27", "--values"), 0,
+     "start 27 under 3x+1: reached-one after 70 steps\n"
+     "peak 4616, final 1, odd steps 41\n"
+     "values: 27 41 62 31 47 71 107 161 242 121 182 91 137 206 103 155 233 350 175 263"
+     " 395 593 890 445 668 334 167 251 377 566 283 425 638 319 479 719 1079 1619 2429"
+     " 3644 1822 911 1367 2051 3077 4616 2308 1154 577 866 433 650 325 488 244 122 61"
+     " 92 46 23 35 53 80 40 20 10 5 8 4 2 1\n"),
+    (("traj", "7", "--map", "d=2;pairs=(1,0),(3,1);partial=false"), 0,
+     "start 7 under d=2;pairs=(1,0),(3,1);partial=false: entered-cycle after 12 steps\n"
+     "peak 26, final 2, odd steps 6\n"
+     "cycle: [1, 2]\n"),
+    (("orbit", "8", "--limit-steps", "517"), 2,
+     "orbit of 8 under the even/4n+1/4n+3 permutation: step-limit after 517 steps\n"
+     "peak 1461407397228, final 1461407397228\n"),
+    (("sets", "closure", "--preset", "s0", "--bound", "50"), 0,
+     "50 members up to 50\n"
+     "members: 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20 21 22 23 24 25 26 27 28 29 30 31 32 33 34 35 36 37 38 39 40 41 42 43 44 45 46 47 48 49 50\n"
+     "checkpoint  count  density\n"
+     "        50     50  1.000000\n"),
+    (("sets", "closure", "--preset", "s0", "--bound", "50", "--format", "members"), 0,
+     "member\n" + "".join("%d\n" % m for m in range(1, 51))),
+    (("sets", "closure", "--preset", "s2", "--bound", "100"), 0,
+     "52 members up to 100\n"
+     "members: 1 2 4 5 8 9 10 14 15 16 17 18 20 26 27 28 29 30 32 33 34 36 40 44 47 50 51 52 53 54 56 57 58 60 62 63 64 66 68 72 80 83 86 87 88 89 92 93 94 98 99 100\n"
+     "checkpoint  count  density\n"
+     "       100     52  0.520000\n"),
+    (("tag", "check", "27"), 0,
+     "all-zero lengths match the halved 3x+1 orbit of 27\n"),
+    (("cycles", "1", "100", "--map", "5x+1", "--limit-steps", "10000", "--limit-bits", "4096"), 2,
+     "cycles with a member in [1, 100]:\n"
+     "  length 5, odd steps 2: [1, 3, 8, 4, 2]\n"
+     "  length 7, odd steps 3: [13, 33, 83, 208, 104, 52, 26]\n"
+     "  length 7, odd steps 3: [17, 43, 108, 54, 27, 68, 34]\n"
+     "starts that hit a budget: 60\n"
+     "starts that left the domain: 0\n"),
+    (("census", "1e35", "100", "--format", "csv"), 0,
+     "steps,count,odd_ratio\n"
+     "481,1,0.47817\n"
+     "508,19,0.48622\n"
+     "573,49,0.50261\n"
+     "592,10,0.50675\n"
+     "836,21,0.54306\n"),
+    (("records", "2", "1000"), 0,
+     "record holders in [2, 1000]\n"
+     "steps / log n:\n"
+     "  2  1.442695\n"
+     "  3  4.551196\n"
+     "  7  5.652882\n"
+     "  9  5.916555\n"
+     "  27  21.238915\n"
+     "log peak / log n:\n"
+     "  2  0.000000\n"
+     "  3  1.892789\n"
+     "  27  2.559982\n"
+     "peak value:\n"
+     "  2  1\n"
+     "  3  8\n"
+     "  7  26\n"
+     "  15  80\n"
+     "  27  4616\n"
+     "  255  6560\n"
+     "  447  19682\n"
+     "  639  20762\n"
+     "  703  125252\n"
+     "starts with steps >= 6.143 * log n: 385\n"),
+    (("records", "2", "1000", "--format", "csv"), 0,
+     "table,n,value\n"
+     "steps_per_log,2,1.442695\n"
+     "steps_per_log,3,4.551196\n"
+     "steps_per_log,7,5.652882\n"
+     "steps_per_log,9,5.916555\n"
+     "steps_per_log,27,21.238915\n"
+     "peak_log_ratio,2,0.000000\n"
+     "peak_log_ratio,3,1.892789\n"
+     "peak_log_ratio,27,2.559982\n"
+     "peak,2,1\n"
+     "peak,3,8\n"
+     "peak,7,26\n"
+     "peak,15,80\n"
+     "peak,27,4616\n"
+     "peak,255,6560\n"
+     "peak,447,19682\n"
+     "peak,639,20762\n"
+     "peak,703,125252\n"),
+    (("predict", "27"), 0,
+     "n = 27 (log n = 3.2958)\n"
+     "drift per step:        -0.14384\n"
+     "expected steps:        22.9\n"
+     "step-count ceiling:    137.4\n"
+     "extremal: peak log 6.6, total steps 71.0\n"),
+    (("compare", "27"), 0,
+     "start 27: 70 steps, model expected 22.9 (ratio 3.055)\n"
+     "max |residual| 11.614, rms 7.630, within the step ceiling\n"
+     "note: log n < 10, the asymptotic line is a rough guide here\n"),
 ]
 
 # Longer documents are frozen by length and SHA-256 of their stdout.
@@ -461,6 +573,20 @@ GOLDEN_DIGESTS = [
      "b709438e461b0201c9d57284bd8e99873c861a68aaab59168939d0e5759c94ef"),
     (("sets", "closure", "--preset", "s1", "--bound", "1000", "--format", "json"), 0, 2580,
      "a0279e711f96a161a384d7b49c8cfef1ee57f3a2644d547e0d487fbdbb050c5a"),
+    (("traj", "27", "--format", "csv"), 0, 631,
+     "af9ff7030ac129bef9040fcf856b7deefa38801d8881c2531dc7c66d49dc210b"),
+    (("traj", "27", "--format", "json"), 0, 804,
+     "fcb91a6289b9f2c27e091455e4fea011bd78bfa3319f6474bc93930fb2f0da8c"),
+    (("traj", "27", "--format", "svg"), 0, 1743,
+     "4a578f0316f055086239daf755637d68d05000a5793ee7f35cb525f95811f485"),
+    (("orbit", "8", "--limit-steps", "517", "--format", "json"), 2, 7003,
+     "8a2fa9b56bde7e247aad50e818d5df1592904a6c09bccacab402044a7e286ff5"),
+    (("sets", "closure", "--preset", "s0", "--bound", "100000", "--format", "json"), 0, 1089233,
+     "26a42adbb25518cf72a0345c57f309312ccaa032a13e7b64bfa80f37f3436e71"),
+    (("tag", "run", "--zeros", "27"), 0, 451,
+     "a34af041b6cbd491903d5391b033bb94d449251cbf0a6176602afee9affbef63"),
+    (("tag", "run", "--zeros", "27", "--format", "csv"), 0, 501024,
+     "a1711dbfe0cc42b254fc3157dcd2b765592da0952ec68b4b5b3295420d1e3b4f"),
 ]
 
 
@@ -479,3 +605,15 @@ class TestGoldenBytes:
         assert got_code == code
         assert len(out) == size
         assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+    def test_verify_text_is_frozen_but_for_elapsed(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--from", "1", "--to", "1e5")
+        assert code == 0
+        lines = out.splitlines(keepends=True)
+        assert lines[-1].startswith("elapsed ")
+        assert "".join(lines[:-1]) == (
+            "verified [1, 100000] with k=16: 1 chunks, 0 already done, 1 workers\n"
+            "checked 100000 dense + 0 survivors, skipped 0 certified starts\n"
+            "exact rechecks this run: 0\n"
+            "no counterexamples\n"
+        )

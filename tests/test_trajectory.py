@@ -229,3 +229,13 @@ class TestPermutationOrbit:
         assert permutation_orbit(1).cycle.members == (1,)
         assert permutation_orbit(2).cycle.members == (2, 3)
         assert permutation_orbit(4).cycle.members == (4, 6, 9, 7, 5)
+
+
+def test_census_credits_an_inherited_cycle_past_the_start_budget():
+    # 27 first drops below itself at step 59 and inherits the verdict of
+    # a smaller start; its own walk of the cycle runs out of the
+    # 60-step budget.  The census keeps the inherited, genuine cycle.
+    limits = IterationLimits(60, 4096)
+    assert cycle_census(t_map(), 1, 300, limits).limit_starts == ()
+    traj = iterate(t_map(), 27, limits, stop_at_one=False)
+    assert traj.outcome is Outcome.HIT_STEP_LIMIT
