@@ -1,6 +1,7 @@
 """Hot inner loops over machine-sized integers, as numpy lockstep kernels.
 
-Each kernel takes its starts in blocks of at most LANES lanes and
+Each kernel takes its starts in blocks of lanes (VERIFY_LANES = 2^14
+for verify_span and verify_dense, LANES = 2^16 for scan_sigma_peak) and
 advances the whole block together: one masked array step moves every
 live lane by one step (or one k-step jump), and a lane leaves the block
 as soon as its own stopping rule fires.  The rules are those of the
@@ -13,9 +14,18 @@ plain one-start-at-a-time loop, applied per lane:
 
 So every result is bit-identical to the scalar loop; tests/kernel_reference.py
 keeps that loop as the oracle.  Lanes never interact, so the block
-size bounds only the temporaries (a few arrays of LANES int64 values),
-not the answer.  Arbitrary precision work never lands here: callers
-re-run every handed-back start with Python integers.
+size bounds only the temporaries (a few int64 arrays of one block),
+not the answer.  It does set their speed: a 2^16-lane int64 array is
+512 KiB, above glibc's initial 128 KiB mmap threshold, so each step's
+temporaries are mapped and faulted in afresh until some larger free
+happens to raise that threshold.  At 2^16 lanes verify_dense on
+[1, 65535] took 0.06-0.08 s in a fresh process and 0.05 s after one
+16 MiB array was freed; at 2^14 lanes, whose arrays are at most
+128 KiB and mostly far smaller once lanes leave, it takes 0.04-0.05 s
+either way.  The scan keeps 2^16: its lanes stay live much longer,
+and at 2^14 a scan to 10^6 took about 1.4x as long.  Arbitrary
+precision work never lands here: callers re-run every handed-back
+start with Python integers.
 """
 
 from __future__ import annotations
@@ -29,8 +39,10 @@ USING_NUMBA = False
 # largest x with 3x+1 guaranteed inside int64
 _OVF = (2**63 - 2) // 3
 
-# lanes advanced together; bounds each kernel's temporaries
+# lanes advanced together by scan_sigma_peak
 LANES = 1 << 16
+# lanes advanced together by verify_span and verify_dense
+VERIFY_LANES = 1 << 14
 
 
 def _step(x: np.ndarray) -> np.ndarray:
@@ -152,8 +164,8 @@ def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jump
     total = (b1 - b0) * width
     checked = 0
     unresolved = []
-    for f0 in range(0, total, LANES):
-        flat = np.arange(f0, min(f0 + LANES, total), dtype=np.int64)
+    for f0 in range(0, total, VERIFY_LANES):
+        flat = np.arange(f0, min(f0 + VERIFY_LANES, total), dtype=np.int64)
         n = ((flat // width + b0) << k) + survivors[flat % width]
         if n[0] < lo or n[-1] > hi:
             n = n[(n >= lo) & (n <= hi)]
@@ -192,8 +204,8 @@ def verify_dense(n0, n1, lo, max_steps):
     floor = max(lo, 3)  # x <= 2 or x < lo
     checked = 0
     unresolved = []
-    for a in range(n0, n1 + 1, LANES):
-        n = np.arange(a, min(a + LANES, n1 + 1), dtype=np.int64)
+    for a in range(n0, n1 + 1, VERIFY_LANES):
+        n = np.arange(a, min(a + VERIFY_LANES, n1 + 1), dtype=np.int64)
         checked += n.size
         x = n
         for _ in range(max_steps):

@@ -11,6 +11,7 @@ import functools
 import json
 import os
 import sys
+import time
 
 from . import affine_sets, model, render, sieve, stats, tag
 from .maps import parse_map_spec, t_map
@@ -100,13 +101,35 @@ def _cmd_census(args) -> int:
     return 2 if census.unknown_offsets else 0
 
 
+def _progress_printer():
+    """An on_progress callback that prints the chunk count, rate and ETA to stderr.
+
+    The rate counts checked starts per second and the ETA scales the
+    time per chunk so far, both measured over the chunks this process
+    ran.  A resumed run's first commit also counts the chunks credited
+    from the checkpoint, so it only fixes the point they are measured from.
+    """
+    t0 = time.monotonic()
+    since = None  # (chunks, checked starts, time) the rate is measured from
+
+    def progress(done, total, checked):
+        nonlocal since
+        now = time.monotonic()
+        if since is None:
+            since = (0, 0, t0) if done == 1 else (done, checked, now)
+        base_done, base_checked, base_t = since
+        line = "chunk %d/%d, checked %d" % (done, total, checked)
+        if done > base_done and now > base_t:
+            spent = now - base_t
+            line += ", %.3g starts/s, ETA %.1f s" % (
+                (checked - base_checked) / spent,
+                spent * (total - done) / (done - base_done))
+        print(line, file=sys.stderr)
+
+    return progress
+
+
 def _cmd_verify(args) -> int:
-    progress = None
-    if args.progress:
-
-        def progress(done, total, checked):
-            print("chunk %d/%d, checked %d" % (done, total, checked), file=sys.stderr)
-
     report = sieve.verify_range(
         args.lo,
         args.hi,
@@ -114,7 +137,7 @@ def _cmd_verify(args) -> int:
         workers=args.workers,
         checkpoint_path=args.checkpoint,
         spans_per_chunk=args.spans_per_chunk,
-        on_progress=progress,
+        on_progress=_progress_printer() if args.progress else None,
     )
     _show(args, report, text=render.report_to_text, json=render.report_to_json)
     return 3 if report.counterexamples else 0
@@ -191,6 +214,8 @@ def _cmd_tag_run(args) -> int:
 def _cmd_tag_check(args) -> int:
     ok = tag.collatz_tag_check(args.n)
     _emit(render.tag_check_to_text(args.n, ok), None)
+    if ok is None:
+        return 2
     return 0 if ok else 3
 
 
@@ -382,11 +407,21 @@ def main(argv=None) -> int:
         # argparse exits directly for missing required arguments and for
         # --help; keep 0 for help, fold usage errors into the input code.
         return 0 if exc.code in (0, None) else 1
+    # Views print exact integers of any size; Python's default cap on
+    # int-to-str conversion (4300 digits) would turn a reached budget
+    # into an error.
+    set_digits = getattr(sys, "set_int_max_str_digits", None)
+    if set_digits is not None:
+        old_digits = sys.get_int_max_str_digits()
+        set_digits(0)
     try:
         return args.func(args)
     except (ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
+    finally:
+        if set_digits is not None:
+            set_digits(old_digits)
 
 
 if __name__ == "__main__":

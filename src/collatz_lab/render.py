@@ -525,7 +525,10 @@ def tagrun_to_text(run: TagRun) -> str:
     return "\n".join(out) + "\n"
 
 
-def tag_check_to_text(n: int, ok: bool) -> str:
+def tag_check_to_text(n: int, ok: bool | None) -> str:
+    if ok is None:
+        return ("all-zero lengths against the halved 3x+1 orbit of %d: "
+                "undecided, a budget ran out\n" % n)
     return "all-zero lengths %s the halved 3x+1 orbit of %d\n" % (
         "match" if ok else "DO NOT match", n)
 

@@ -23,7 +23,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _kernels
-from .maps import t_step
 
 INT64_MAX = np.iinfo(np.int64).max
 MAX_TABLE_K = 24
@@ -52,40 +51,99 @@ class SieveTable:
     rescued: int
 
 
+# Residues are certified in blocks of 2^_BLOCK_BITS; c and s of a block
+# come from composing the table of its low _BLOCK_BITS bits with the
+# table of the remaining width.
+_BLOCK_BITS = 14
+
+
+def _width_table(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(c, s) of width k for every residue mod 2^k; k = 0 gives ([0], [0])."""
+    x = np.arange(1 << k, dtype=np.int64)
+    c = np.zeros(1 << k, dtype=np.int64)
+    for _ in range(k):
+        c += x & 1
+        x = _kernels._step(x)
+    return c, x
+
+
 def build_table(k: int) -> SieveTable:
+    """The width-k jump table and the drop certificate of every residue.
+
+    Residues r = h * 2^b + l (b = min(k, 14) low bits) are handled one
+    block of fixed h at a time.  The jump coefficients compose exactly:
+    T^b(r) = 3^c_b(l) * h + s_b(l), and that value goes through the
+    width-(k - b) table for the rest.  The certificate follows only the
+    block's live residues, one step at a time; at prefix j a residue's
+    class drops when 3^c_j(r) < 2^j and, with a = q * 2^(k-j) + r div 2^j
+    at its smallest (q = 1),
+    (2^j - 3^c_j) * a > T^j(r mod 2^j) - r mod 2^j,
+    i.e. every start of the class above the table width is below
+    itself after j steps.  T^j(r mod 2^j) = T^j(r) - 3^c_j * (r div 2^j)
+    by the same identity, so no full-width array is ever stepped.
+    """
     if not 1 <= k <= MAX_TABLE_K:
         raise ValueError("table width k must be in 1..%d, got %r" % (MAX_TABLE_K, k))
     size = 1 << k
-    r = np.arange(size, dtype=np.int64)
-    x = r.copy()
-    c = np.zeros(size, dtype=np.int64)
-    dropped_at = np.full(size, -1, dtype=np.int8)
-    alive = np.ones(size, dtype=bool)
-    saw_decay = np.zeros(size, dtype=bool)
+    low = min(k, _BLOCK_BITS)
+    block = 1 << low
+    high = k - low
     pow3 = np.array([3**i for i in range(k + 1)], dtype=np.int64)
-    for j in range(1, k + 1):
-        odd = (x & 1) == 1
-        x = np.where(odd, (3 * x + 1) >> 1, x >> 1)
-        c += odd
-        decayed = pow3[c] < (1 << j)
-        saw_decay |= alive & decayed
-        # Value check: with a = q * 2^(k-j) + r div 2^j and q >= 1,
-        # T^j(a * 2^j + r_j) < a * 2^j + r_j at the smallest a means
-        # the whole class has already fallen below itself by step j.
-        rj = r & ((1 << j) - 1)
-        a_min = (1 << (k - j)) + (r >> j)
-        sound = ((1 << j) - pow3[c]) * a_min > x[rj] - rj
-        drop = alive & decayed & sound
-        dropped_at[drop] = j
-        alive &= ~drop
-    survivors = np.nonzero(alive)[0].astype(np.int64)
-    rescued = int(np.count_nonzero(saw_decay & alive))
-    s_max = int(x.max())
+    c_low, s_low = _width_table(low)
+    c_high, s_high = _width_table(high)
+    p_low = pow3.take(c_low)
+    high_mask = (1 << high) - 1
+    # largest odd count c with 3^c < 2^j, the decay bound at prefix j
+    decay_c = {j: max(c for c in range(j + 1) if 3**c < 1 << j) for j in range(1, k + 1)}
+    c = np.empty(size, dtype=np.int8)
+    s = np.empty(size, dtype=np.int64)
+    dropped_at = np.full(size, -1, dtype=np.int8)
+    survivors = []
+    rescued = 0
+    for h in range(size >> low):
+        base = h << low
+        y = p_low * h
+        y += s_low
+        ym = y & high_mask
+        ch = c_high.take(ym)
+        c[base:base + block] = c_low + ch
+        y >>= high
+        y *= pow3.take(ch)
+        y += s_high.take(ym)
+        s[base:base + block] = y
+
+        r = np.arange(base, base + block, dtype=np.int64)
+        x = r
+        cj = np.zeros(block, dtype=np.int64)
+        saw_decay = np.zeros(block, dtype=bool)
+        for j in range(1, k + 1):
+            cj += x & 1
+            x = _kernels._step(x)
+            decayed = cj <= decay_c[j]
+            if not decayed.any():
+                continue
+            saw_decay |= decayed
+            d = np.flatnonzero(decayed)
+            rd, pd = r.take(d), pow3.take(cj.take(d))
+            above = rd >> j
+            sound = ((1 << j) - pd) * ((1 << (k - j)) + above) > (
+                x.take(d) - pd * above - (rd & ((1 << j) - 1)))
+            if not sound.any():
+                continue
+            dropped_at[rd[sound]] = j
+            keep = np.ones(r.size, dtype=bool)
+            keep[d[sound]] = False
+            keep = np.flatnonzero(keep)
+            r, x, cj, saw_decay = r.take(keep), x.take(keep), cj.take(keep), saw_decay.take(keep)
+            if not r.size:
+                break
+        survivors.append(r)
+        rescued += int(np.count_nonzero(saw_decay))
+    s_max = int(s.max())
     qmax = np.array(
         [(INT64_MAX - s_max) // 3**i for i in range(k + 1)], dtype=np.int64
     )
-    c_small = c.astype(np.int8)
-    return SieveTable(k, c_small, x, dropped_at, survivors, pow3, qmax, rescued)
+    return SieveTable(k, c, s, dropped_at, np.concatenate(survivors), pow3, qmax, rescued)
 
 
 def k_step(table: SieveTable, n: int) -> int:
@@ -121,8 +179,10 @@ class VerificationReport:
 
     All fields except rechecked and elapsed are deterministic for a
     given (lo, hi, k, spans_per_chunk), independent of worker count and
-    of any kill/resume in between; rechecked counts only the exact
-    re-follows done by this process, and elapsed is wall time.
+    of any kill/resume in between.  rechecked counts the exact
+    re-follows of the chunks this call ran, whichever process (the
+    caller or a pool worker) ran them; chunks credited from a
+    checkpoint add none.  elapsed is wall time.
     """
 
     lo: int
@@ -174,16 +234,18 @@ def _chunk_checked(table: SieveTable, chunk) -> tuple[int, int]:
     return 0, (b - a) * int(table.survivors.size)
 
 
-def _run_chunk(table: SieveTable, chunk, lo: int, hi: int, max_jumps: int, dense_steps: int):
+def _run_chunk(table: SieveTable, chunk, lo: int, hi: int, max_jumps: int, recheck_steps: int):
+    """(checked, rechecked, counterexamples) of one chunk, rechecks included."""
     kind, a, b = chunk
     if kind == "dense":
-        checked, unresolved = _kernels.verify_dense(a, b, lo, dense_steps)
+        checked, unresolved = _kernels.verify_dense(a, b, lo, recheck_steps)
     else:
         checked, unresolved = _kernels.verify_span(
             a, b, table.k, lo, hi, table.survivors,
             table.c, table.s, table.pow3, table.qmax, max_jumps,
         )
-    return int(checked), [int(n) for n in unresolved]
+    return int(checked), int(unresolved.size), _exact_recheck(
+        table, unresolved.tolist(), lo, recheck_steps)
 
 
 _WORKER_TABLE: SieveTable | None = None
@@ -196,18 +258,45 @@ def _worker_init(table: SieveTable) -> None:
     _WORKER_TABLE = table
 
 
-def _worker_run(chunk, lo, hi, max_jumps, dense_steps):
-    return _run_chunk(_WORKER_TABLE, chunk, lo, hi, max_jumps, dense_steps)
+def _worker_run(chunk, lo, hi, max_jumps, recheck_steps):
+    return _run_chunk(_WORKER_TABLE, chunk, lo, hi, max_jumps, recheck_steps)
 
 
-def _exact_recheck(n: int, lo: int, max_steps: int) -> str | None:
-    """Follow one start exactly; None when it resolves, else a reason tag."""
-    x = n
-    for _ in range(max_steps):
-        if x <= 2 or x < lo:
-            return None
-        x = t_step(x)
-    return "no-descent-within-%d-steps" % max_steps
+def _exact_recheck(table: SieveTable, starts, lo: int, max_steps: int) -> list[tuple[int, str]]:
+    """Follow each start exactly with Python integers; (n, reason) of those left open.
+
+    A start resolves when an iterate at a jump boundary, x after 0, k,
+    2k, ... steps, is <= 2 or below lo; it gets ceil(max_steps / k)
+    jumps x -> 3^c(r) * (x div 2^k) + s(r), r = x mod 2^k.  This is the
+    rule verify_span applies, and it is sound: the table identity holds
+    exactly for every q >= 0, so each boundary value is a true iterate
+    of the start, and one below lo (or <= 2) means the start reaches
+    a verified start (or the 1-2 loop).  The boundaries tested are
+    among the first max_steps steps, the ones a one-step walk with the
+    same budget tests, so a start resolved here resolves under that
+    walk too.  The converse can fail only through the budget: for a
+    start the walk resolves after more than max_steps - k steps, or
+    one whose orbit dips below lo and is back above it at every
+    boundary until the jumps run out.
+    """
+    k = table.k
+    mask = (1 << k) - 1
+    c, s = memoryview(table.c), memoryview(table.s)
+    pow3 = [3**i for i in range(k + 1)]
+    floor = max(lo, 3)  # x <= 2 or x < lo
+    jumps = range(-(-max_steps // k))
+    reason = "no-descent-within-%d-steps" % max_steps
+    left_open = []
+    for n in starts:
+        x = n
+        for _ in jumps:
+            if x < floor:
+                break
+            r = x & mask
+            x = pow3[c[r]] * (x >> k) + s[r]
+        else:
+            left_open.append((n, reason))
+    return left_open
 
 
 def _write_checkpoint(path, k, lo, hi, spans_per_chunk, next_chunk, counterexamples) -> None:
@@ -284,9 +373,9 @@ def _run_pool(table, chunks, pending, lo, hi, max_jumps, recheck_steps, workers,
                 submit()
             while inflight:
                 i, fut = inflight.popleft()
-                checked, unresolved = fut.result()
+                result = fut.result()
                 submit()
-                commit(i, checked, unresolved)
+                commit(i, *result)
         except BaseException:
             pool.shutdown(cancel_futures=True)
             raise
@@ -308,13 +397,32 @@ def verify_range(
 
     Survivor classes are followed with k-step jumps; certified classes
     are skipped outright; anything the int64 kernels could not settle
-    is re-followed exactly with big integers.  A checkpoint file, when
-    given, is rewritten atomically after every chunk so an interrupted
-    run resumes where it stopped and still produces the same counts
-    and counterexample list.  Its header records the chunk plan (k, the
-    range and spans_per_chunk); resuming under any other plan raises
-    CheckpointMismatchError instead of crediting chunks never computed.
-    Pool workers share the parent's table rather than building their own.
+    is re-followed exactly with big integers, by _exact_recheck in the
+    process that ran the chunk.
+
+    Descent is tested only at jump boundaries, after 0, k, 2k, ... steps
+    (one step at a time in dense chunks), and that is sound: the table
+    identity T^k(q * 2^k + r) = 3^c(r) * q + s(r) is exact for every
+    q >= 0, so every value seen at a boundary is a true iterate of the
+    start.  One that is <= 2 has reached the 1-2 loop; one below lo
+    has reached [1, lo), which is taken as verified.  Certified classes
+    fall below themselves rather than below lo, and strong induction
+    over [lo, hi] on top of [1, lo) covers them.  So when no
+    counterexample is listed, every start of [lo, hi] reaches 1, given
+    that every start of [1, lo) does.  Testing only boundaries can miss
+    an earlier dip, which costs jumps but never soundness, and changes
+    an outcome only through the budgets: max_jumps hands a start on to
+    the exact recheck, whose ceil(recheck_steps / k) jumps can differ
+    from a recheck_steps-step walk only for a start that needs about
+    recheck_steps steps (_exact_recheck says exactly when).
+
+    A checkpoint file, when given, is rewritten atomically after every
+    chunk so an interrupted run resumes where it stopped and still
+    produces the same counts and counterexample list.  Its header
+    records the chunk plan (k, the range and spans_per_chunk); resuming
+    under any other plan raises CheckpointMismatchError instead of
+    crediting chunks never computed.  Pool workers share the parent's
+    table rather than building their own.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi, got [%r, %r]" % (lo, hi))
@@ -343,18 +451,15 @@ def verify_range(
         checked_dense += d
         checked_survivors += s
 
-    def commit(index, checked, unresolved):
+    def commit(index, checked, chunk_rechecked, chunk_cex):
         nonlocal checked_dense, checked_survivors, rechecked
         kind = chunks[index][0]
         if kind == "dense":
             checked_dense += checked
         else:
             checked_survivors += checked
-        for n in unresolved:
-            rechecked += 1
-            reason = _exact_recheck(n, lo, recheck_steps)
-            if reason is not None:
-                cex.append((n, reason))
+        rechecked += chunk_rechecked
+        cex.extend(chunk_cex)
         if checkpoint_path is not None:
             _write_checkpoint(checkpoint_path, k, lo, hi, spans_per_chunk, index + 1, cex)
         if on_progress is not None:
@@ -363,10 +468,7 @@ def verify_range(
     pending = list(range(start_chunk, len(chunks)))
     if workers == 1 or len(pending) <= 1:
         for i in pending:
-            checked, unresolved = _run_chunk(
-                table, chunks[i], lo, hi, max_jumps, recheck_steps
-            )
-            commit(i, checked, unresolved)
+            commit(i, *_run_chunk(table, chunks[i], lo, hi, max_jumps, recheck_steps))
     else:
         _run_pool(table, chunks, pending, lo, hi, max_jumps, recheck_steps, workers, commit)
     if checkpoint_path is not None:

@@ -208,16 +208,19 @@ def run_tag(
     )
 
 
-def collatz_tag_check(n: int, max_steps: int = 10**7) -> bool:
-    """All-zero lengths of the run from 0^n equal the halved 3x+1 orbit of n.
+def collatz_tag_check(n: int, max_steps: int = 10**7) -> bool | None:
+    """Whether the all-zero lengths of the run from 0^n equal the halved 3x+1 orbit of n.
 
-    False also when the orbit does not reach 1 within DEFAULT_LIMITS.
+    None when a budget ran out first and the check is undecided: the
+    orbit did not reach 1 within DEFAULT_LIMITS, or the tag run took
+    more than max_steps steps (a run takes about as many steps as the
+    orbit's values sum to).
     """
     if n < 1:
         raise ValueError("need n >= 1")
     traj = iterate(t_map(), n, DEFAULT_LIMITS)
     if traj.outcome is not Outcome.REACHED_ONE:
-        return False
+        return None
     run = run_tag(
         collatz_tag(),
         "0" * n,
@@ -225,6 +228,8 @@ def collatz_tag_check(n: int, max_steps: int = 10**7) -> bool:
         max_length=max(16, 4 * traj.peak),
         hash_budget=0,
     )
+    if run.outcome is TagOutcome.HIT_STEP_LIMIT:
+        return None
     if run.outcome is not TagOutcome.HALTED:
         return False
     return tuple(length for _, length in run.zero_lengths) == traj.values

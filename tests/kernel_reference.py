@@ -1,15 +1,20 @@
-"""Scalar reference loops for the lockstep kernels in collatz_lab._kernels.
+"""Reference versions of the hot paths, kept as test oracles.
 
-These walk one start at a time, exactly as the kernels did before they
-were vectorised, and serve only as the oracle that tests/test_kernels.py
-compares the lockstep kernels against bit for bit.  The int64 guard is
-a keyword so a test can lower it together with the kernels' own
-``_OVF`` and make the overflow handback reachable at small values.
+The scalar loops walk one start at a time, exactly as the lockstep
+kernels in collatz_lab._kernels did before they were vectorised;
+tests/test_kernels.py compares the kernels against them bit for bit.
+build_table is the sieve table built by stepping every residue at
+once, and exact_recheck the one-step recheck walk; tests/test_sieve.py
+compares sieve.build_table and sieve._exact_recheck against them.
+The int64 guard is a keyword so a test can lower it together with the
+kernels' own ``_OVF`` and make the overflow handback reachable at
+small values.
 """
 
 import numpy as np
 
 from collatz_lab._kernels import _OVF
+from collatz_lab.sieve import INT64_MAX, SieveTable
 
 
 def scan_sigma_peak(hi, max_steps, ovf=_OVF):
@@ -97,3 +102,48 @@ def verify_dense(n0, n1, lo, max_steps, ovf=_OVF):
         if not ok:
             unresolved.append(n)
     return checked, np.array(unresolved, np.int64)
+
+
+def build_table(k):
+    """The width-k table built by stepping all 2^k residues together."""
+    size = 1 << k
+    r = np.arange(size, dtype=np.int64)
+    x = r.copy()
+    c = np.zeros(size, dtype=np.int64)
+    dropped_at = np.full(size, -1, dtype=np.int8)
+    alive = np.ones(size, dtype=bool)
+    saw_decay = np.zeros(size, dtype=bool)
+    pow3 = np.array([3**i for i in range(k + 1)], dtype=np.int64)
+    for j in range(1, k + 1):
+        odd = (x & 1) == 1
+        x = np.where(odd, (3 * x + 1) >> 1, x >> 1)
+        c += odd
+        decayed = pow3[c] < (1 << j)
+        saw_decay |= alive & decayed
+        # Value check: with a = q * 2^(k-j) + r div 2^j and q >= 1,
+        # T^j(a * 2^j + r_j) < a * 2^j + r_j at the smallest a means
+        # the whole class has already fallen below itself by step j.
+        rj = r & ((1 << j) - 1)
+        a_min = (1 << (k - j)) + (r >> j)
+        sound = ((1 << j) - pow3[c]) * a_min > x[rj] - rj
+        drop = alive & decayed & sound
+        dropped_at[drop] = j
+        alive &= ~drop
+    survivors = np.nonzero(alive)[0].astype(np.int64)
+    rescued = int(np.count_nonzero(saw_decay & alive))
+    s_max = int(x.max())
+    qmax = np.array(
+        [(INT64_MAX - s_max) // 3**i for i in range(k + 1)], dtype=np.int64
+    )
+    c_small = c.astype(np.int8)
+    return SieveTable(k, c_small, x, dropped_at, survivors, pow3, qmax, rescued)
+
+
+def exact_recheck(n, lo, max_steps):
+    """Follow one start a single halved step at a time; None once it resolves."""
+    x = n
+    for _ in range(max_steps):
+        if x <= 2 or x < lo:
+            return None
+        x = (3 * x + 1) >> 1 if x & 1 else x >> 1
+    return "no-descent-within-%d-steps" % max_steps

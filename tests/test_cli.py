@@ -10,8 +10,10 @@ import json
 
 import pytest
 
+from collatz_lab import sieve, tag
 from collatz_lab.cli import main
 from collatz_lab.maps import TABLE_BASE
+from collatz_lab.trajectory import IterationLimits
 
 
 def run_cli(capsys, *argv):
@@ -68,6 +70,18 @@ class TestTraj:
                                "--limit-bits", "64")
         assert code == 2
         assert "bit-limit" in out
+
+    def test_views_of_values_past_4300_digits(self, capsys):
+        # 15,000 bits is about 4,500 digits, past Python's default cap on
+        # int-to-str conversion; the bit-limit outcome must still print.
+        code, out, _ = run_cli(capsys, "traj", "7", "--map", "5x+1",
+                               "--limit-bits", "15000")
+        assert code == 2
+        assert "bit-limit" in out
+        code, out, _ = run_cli(capsys, "traj", "1e4400", "--limit-steps", "3",
+                               "--format", "json")
+        assert code == 2
+        assert '"start": 1%s,' % ("0" * 4400) in out
 
     def test_bad_map_is_input_error(self, capsys):
         code, _, err = run_cli(capsys, "traj", "7", "--map", "9z+1")
@@ -169,6 +183,40 @@ class TestVerify:
     def test_missing_range_is_input_error(self, capsys):
         code, _, _ = run_cli(capsys, "verify", "--from", "1")
         assert code == 1
+
+    def test_progress_reports_rate_and_eta_on_stderr(self, capsys, tmp_path):
+        argv = ("verify", "--from", "1", "--to", "1e6", "--sieve-k", "12",
+                "--spans-per-chunk", "16", "--format", "json")
+        _, plain, _ = run_cli(capsys, *argv)
+        path = tmp_path / "ck.txt"
+
+        class Stop(Exception):
+            pass
+
+        def bail_early(done, total, checked):
+            if done == 3:
+                raise Stop
+
+        with pytest.raises(Stop):
+            sieve.verify_range(1, 10**6, k=12, spans_per_chunk=16,
+                               checkpoint_path=str(path), on_progress=bail_early)
+        code, out, err = run_cli(capsys, *argv, "--progress", "--checkpoint", str(path))
+        assert code == 0
+        lines = err.splitlines()
+        assert len(lines) == json.loads(out)["chunks_total"] - 3
+        # The first resumed commit includes the credited chunks, so it
+        # carries no rate; every later line does.
+        assert lines[0].startswith("chunk 4/") and "starts/s" not in lines[0]
+        for line in lines[1:]:
+            assert ", checked " in line and " starts/s, ETA " in line
+        assert lines[-1].endswith("ETA 0.0 s")
+        drop = lambda text: {k: v for k, v in json.loads(text).items()
+                             if k not in ("elapsed", "chunks_done_before", "rechecked")}
+        assert drop(out) == drop(plain)
+        _, fresh, err = run_cli(capsys, *argv, "--progress")
+        # every line but "elapsed" and the closing brace
+        assert fresh.splitlines()[:-2] == plain.splitlines()[:-2]
+        assert all(" starts/s, ETA " in line for line in err.splitlines())
 
     @pytest.mark.parametrize("spans", ["0", "-1"])
     def test_spans_per_chunk_below_one_is_input_error(self, capsys, spans):
@@ -279,6 +327,13 @@ class TestTag:
         code, out, _ = run_cli(capsys, "tag", "check", "27")
         assert code == 0
         assert "match" in out
+
+    def test_check_out_of_budget_exits_2(self, capsys, monkeypatch):
+        monkeypatch.setattr(tag, "DEFAULT_LIMITS", IterationLimits(10, 4096))
+        code, out, _ = run_cli(capsys, "tag", "check", "27")
+        assert code == 2
+        assert out == ("all-zero lengths against the halved 3x+1 orbit of 27: "
+                       "undecided, a budget ran out\n")
 
 
 class TestCycles:

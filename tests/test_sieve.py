@@ -1,9 +1,14 @@
 """Tests for the k-step jump table and the checkpointed range verifier."""
 
+import dataclasses
 import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import kernel_reference as ref
 
 from collatz_lab import (
     CheckpointMismatchError,
@@ -50,6 +55,15 @@ class TestTable:
         table = build_table(10)
         for r in table.survivors:
             assert table.dropped_at[r] == -1
+
+    @pytest.mark.parametrize("k", range(1, 21))
+    def test_matches_the_full_width_reference_build(self, k):
+        got, want = build_table(k), ref.build_table(k)
+        for field in ("c", "s", "dropped_at", "survivors", "pow3", "qmax"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert a.dtype == b.dtype, field
+            assert np.array_equal(a, b), field
+        assert got.rescued == want.rescued
 
     def test_rejects_out_of_range_width(self):
         with pytest.raises(ValueError):
@@ -105,6 +119,98 @@ class TestKStep:
         table = build_table(12)
         for m in range(12, 40):
             assert k_step(table, (1 << m) - 1) == 3**12 * (1 << (m - 12)) - 1
+
+
+_RECHECK_TABLES = {k: build_table(k) for k in (1, 2, 5, 8, 12)}
+
+
+class TestExactRecheck:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        k=st.sampled_from(sorted(_RECHECK_TABLES)),
+        n=st.one_of(st.integers(1, 1 << 20), st.integers(1, 1 << 90)),
+        lo=st.one_of(st.integers(1, 1 << 20), st.integers(1, 1 << 90)),
+        back=st.one_of(st.none(), st.integers(0, 1 << 12)),
+        max_steps=st.integers(0, 400),
+    )
+    def test_resolves_exactly_when_a_jump_boundary_descends(self, k, n, lo, back, max_steps):
+        # The jump walk tests x after 0, k, 2k, ... steps, ceil(max_steps / k)
+        # times.  Whatever it resolves must reach an iterate below lo or
+        # <= 2 under plain t_step, within max_steps steps.
+        if back is not None:
+            lo = max(1, n - back)
+        got = sieve._exact_recheck(_RECHECK_TABLES[k], [n], lo, max_steps)
+        x = n
+        boundary_hit = False
+        for _ in range(-(-max_steps // k)):
+            if x <= 2 or x < lo:
+                boundary_hit = True
+                break
+            x = t_iter(x, k)
+        assert (got == []) == boundary_hit
+        if not got:
+            assert ref.exact_recheck(n, lo, max_steps) is None
+        else:
+            assert got == [(n, "no-descent-within-%d-steps" % max_steps)]
+
+    def test_starts_above_int64_and_order_kept(self):
+        table = _RECHECK_TABLES[12]
+        starts = [(1 << 64) + 27, (1 << 70) - 1, 27, 3]
+        assert sieve._exact_recheck(table, starts, 1, 10**6) == []
+        # One jump tests only the start itself, so even 3 (four steps
+        # from 2) stays open, where a 12-step walk would resolve it.
+        assert sieve._exact_recheck(table, starts, 1, 12) == [
+            (n, "no-descent-within-12-steps") for n in starts
+        ]
+        assert sieve._exact_recheck(table, starts, 1, 13) == [
+            ((1 << 64) + 27, "no-descent-within-13-steps"),
+            ((1 << 70) - 1, "no-descent-within-13-steps"),
+            (27, "no-descent-within-13-steps"),
+        ]
+
+
+def _step_walker_recheck(table, starts, lo, max_steps):
+    """The recheck as a one-step walk, from the reference loops."""
+    out = []
+    for n in starts:
+        reason = ref.exact_recheck(n, lo, max_steps)
+        if reason is not None:
+            out.append((n, reason))
+    return out
+
+
+def _fields(report):
+    doc = dataclasses.asdict(report)
+    del doc["elapsed"]
+    return doc
+
+
+class TestForcedRecheck:
+    # Case 1 has small budgets.  With recheck_steps = 1 (mod k) the last
+    # jump boundary is the last step the one-step walk tests, and at
+    # lo = 1 an iterate <= 2 stays <= 2, so both walks resolve exactly
+    # the same starts.  Near 2^62 the int64 guard hands starts back.
+    CASES = [
+        dict(lo=1, hi=2 * 10**5, k=16, max_jumps=1),
+        dict(lo=1, hi=2 * 10**5, k=16, max_jumps=1, recheck_steps=16 * 6 + 1),
+        dict(lo=1 << 62, hi=(1 << 62) + (1 << 18) - 1, k=12, spans_per_chunk=16),
+        dict(lo=(1 << 62) + 5, hi=(1 << 62) + (1 << 16), k=12, max_jumps=2),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=range(len(CASES)))
+    def test_reports_equal_the_step_walker(self, case, monkeypatch):
+        got = verify_range(**case)
+        assert got.rechecked > 0
+        with monkeypatch.context() as m:
+            m.setattr(sieve, "_exact_recheck", _step_walker_recheck)
+            want = verify_range(**case)
+        assert _fields(got) == _fields(want)
+        duo = verify_range(**case, workers=2)
+        assert (duo.rechecked, duo.counterexamples) == (got.rechecked, got.counterexamples)
+
+    def test_small_budgets_leave_counterexamples(self):
+        report = verify_range(**self.CASES[1])
+        assert 0 < len(report.counterexamples) < report.rechecked
 
 
 class TestParityBijection:

@@ -12,7 +12,9 @@ from collatz_lab import (
     parse_tag_file,
     post_tag,
     run_tag,
+    tag,
 )
+from collatz_lab.trajectory import IterationLimits
 
 
 class TestTagSystem:
@@ -156,3 +158,13 @@ class TestCollatzTagCheck:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             collatz_tag_check(0)
+
+    def test_step_budget_running_out_is_undecided(self):
+        # 27's run takes 40,656 steps; a smaller budget decides nothing.
+        assert collatz_tag_check(27, max_steps=1000) is None
+        assert collatz_tag_check(27, max_steps=10**5) is True
+
+    def test_orbit_hitting_the_limits_is_undecided(self, monkeypatch):
+        monkeypatch.setattr(tag, "DEFAULT_LIMITS", IterationLimits(10, 4096))
+        assert collatz_tag_check(27) is None
+        assert collatz_tag_check(8) is True
