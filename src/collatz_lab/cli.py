@@ -13,7 +13,9 @@ import os
 import sys
 import time
 
-from . import affine_sets, model, render, sieve, stats, tag
+import numpy as np
+
+from . import _kernels, affine_sets, model, render, sieve, stats, tag
 from .maps import parse_map_spec, t_map
 from .trajectory import (
     DEFAULT_LIMITS,
@@ -226,6 +228,21 @@ def _cmd_cycles(args) -> int:
     return 2 if census.limit_starts else 0
 
 
+def _cmd_info(args) -> int:
+    info = {
+        "backend": "numba" if _kernels.USING_NUMBA else "numpy",
+        "python": "%d.%d.%d" % sys.version_info[:3],
+        "numpy": np.__version__,
+        "cpu_count": os.cpu_count(),
+        "lanes": _kernels.LANES,
+        "verify_lanes": _kernels.VERIFY_LANES,
+        "dip_cap": _kernels.DIP_CAP,
+        "dip_min_live": _kernels.DIP_MIN_LIVE,
+    }
+    _show(args, info, text=render.info_to_text, json=render.info_to_json)
+    return 0
+
+
 def _parse_generator(text: str) -> affine_sets.AffineGenerator:
     parts = [int(p) for p in text.split(",")]
     if len(parts) == 2:
@@ -392,6 +409,12 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_limit_args(p)
     _add_out_arg(p)
     p.set_defaults(func=_cmd_orbit)
+
+    p = subs.add_parser("info", help="backend, versions, CPUs and kernel sizes",
+                        exit_on_error=False)
+    p.add_argument("--format", choices=("text", "json"), default="text")
+    _add_out_arg(p)
+    p.set_defaults(func=_cmd_info)
 
     return parser
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 Natural = int
@@ -28,7 +29,9 @@ class GeneralizedCollatzMap:
 
     pairs[i] holds (a_i, b_i) for residue class i.  partial maps keep
     inadmissible classes and report applications there as undefined
-    (apply returns None).
+    (apply returns None).  _step is apply built once for this table:
+    for a power-of-two d it takes the class with a mask and divides
+    with a shift.
     """
 
     d: int
@@ -36,6 +39,7 @@ class GeneralizedCollatzMap:
     partial: bool = False
     name: str | None = None
     undefined_residues: frozenset[int] = field(init=False)
+    _step: Callable[[int], int | None] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.d < 2:
@@ -52,6 +56,11 @@ class GeneralizedCollatzMap:
                 % (bad[0], bad[0], self.pairs[bad[0]][0], self.pairs[bad[0]][1], self.d)
             )
         object.__setattr__(self, "undefined_residues", frozenset(bad))
+        object.__setattr__(self, "_step", _make_step(self.d, self.pairs, self.undefined_residues))
+
+    def __reduce__(self):
+        # _step is a closure: pickle the table and rebuild it
+        return (type(self), (self.d, self.pairs, self.partial, self.name))
 
     @property
     def relatively_prime_type(self) -> bool:
@@ -72,6 +81,27 @@ class GeneralizedCollatzMap:
     def __str__(self) -> str:
         body = ",".join("(%d,%d)" % p for p in self.pairs)
         return "d=%d;pairs=%s;partial=%s" % (self.d, body, str(self.partial).lower())
+
+
+def _make_step(d: int, pairs, undefined) -> Callable[[int], int | None]:
+    """One exact step of the map (d, pairs), the same function as apply."""
+    rules = tuple(None if i in undefined else p for i, p in enumerate(pairs))
+    if d & (d - 1):
+        def step(x: int) -> int | None:
+            rule = rules[x % d]
+            if rule is None:
+                return None
+            return (rule[0] * x + rule[1]) // d
+        return step
+    mask = d - 1
+    shift = d.bit_length() - 1
+
+    def step_pow2(x: int) -> int | None:
+        rule = rules[x & mask]
+        if rule is None:
+            return None
+        return (rule[0] * x + rule[1]) >> shift
+    return step_pow2
 
 
 def collatz_step(x: int) -> int:

@@ -533,6 +533,32 @@ def tag_check_to_text(n: int, ok: bool | None) -> str:
         "match" if ok else "DO NOT match", n)
 
 
+# the figures of `collatz-lab info`, in order, with what each one sizes
+_INFO_FIELDS = (
+    ("backend", "kernel backend (numba when USING_NUMBA)"),
+    ("python", "Python version"),
+    ("numpy", "numpy version"),
+    ("cpu_count", "logical CPUs (os.cpu_count)"),
+    ("lanes", "lanes per dip-kernel block (records scan, cycle census)"),
+    ("verify_lanes", "lanes per verify-kernel block"),
+    ("dip_cap", "census steps before a start is handed back"),
+    ("dip_min_live", "census block handed back below this many walking lanes"),
+)
+
+
+def info_to_text(info: dict) -> str:
+    width = max(len(key) for key, _ in _INFO_FIELDS)
+    return "".join("%s  %-8s  %s\n" % (key.ljust(width), "unknown" if info[key] is None
+                                       else info[key], note)
+                   for key, note in _INFO_FIELDS)
+
+
+def info_to_json(info: dict) -> dict:
+    doc = {"schema": SCHEMA, "kind": "info"}
+    doc.update((key, info[key]) for key, _ in _INFO_FIELDS)
+    return doc
+
+
 def tagrun_trace_csv(run: TagRun) -> str:
     if run.trace is None:
         raise ValueError("run was recorded without a trace")

@@ -264,14 +264,15 @@ class RecordScan:
     unknown: tuple[int, ...]
 
 
-def _running_records(ns: np.ndarray, vals: np.ndarray):
-    out = []
-    best = -math.inf
-    for n, v in zip(ns, vals):
-        if v > best:
-            best = v
-            out.append((int(n), float(v)))
-    return tuple(out)
+def _records(lo: int, vals: np.ndarray, floor) -> tuple:
+    """(lo + i, vals[i]) for each i where vals[i] beats floor and every earlier value."""
+    best = np.maximum.accumulate(vals)
+    new = np.empty(vals.size, bool)
+    new[:1] = vals[:1] > floor
+    np.greater(vals[1:], best[:-1], out=new[1:])
+    del best
+    at = np.flatnonzero(new)
+    return tuple(zip((at + lo).tolist(), vals.take(at).tolist()))
 
 
 def scan_records(
@@ -288,22 +289,23 @@ def scan_records(
     if lo < 2 or hi < lo:
         raise ValueError("record scan needs 2 <= lo <= hi")
     sigma, peak1, unknown = _scan_arrays(hi, limits)
-    ns = np.arange(lo, hi + 1, dtype=np.int64)
-    sg = sigma[lo:hi + 1].astype(np.float64)
-    pk = peak1[lo:hi + 1].astype(np.float64)
-    ok = sigma[lo:hi + 1] >= 0
-    ln = np.log(ns.astype(np.float64))
-    gam = np.where(ok, sg / ln, -np.inf)
-    rh = np.where(ok & (pk >= 1), np.log(np.maximum(pk, 1.0)) / ln, -np.inf)
-    count = int((gam >= gamma_threshold).sum())
-    g_rec = _running_records(ns, gam)
-    r_rec = _running_records(ns, rh)
-    p_rec = []
-    best = -1
-    for n, ok_n, p in zip(ns, ok, peak1[lo:hi + 1]):
-        if ok_n and p > best:
-            best = int(p)
-            p_rec.append((int(n), int(p)))
+    sigma, peak1 = sigma[lo:hi + 1], peak1[lo:hi + 1]
+    ok = sigma >= 0
+    ln = np.log(np.arange(lo, hi + 1, dtype=np.float64))
+    vals = sigma.astype(np.float64)
+    vals /= ln
+    vals[~ok] = -np.inf
+    count = int(np.count_nonzero(vals >= gamma_threshold))
+    g_rec = _records(lo, vals, -np.inf)
+    vals[:] = peak1
+    np.maximum(vals, 1.0, out=vals)
+    np.log(vals, out=vals)
+    vals /= ln
+    del ln
+    vals[~ok] = -np.inf
+    r_rec = _records(lo, vals, -np.inf)
+    del vals
+    p_rec = _records(lo, np.where(ok, peak1, -1), -1)
     return RecordScan(
-        lo, hi, g_rec, r_rec, tuple(p_rec), gamma_threshold, count, unknown
+        lo, hi, g_rec, r_rec, p_rec, gamma_threshold, count, unknown
     )

@@ -5,6 +5,9 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 
+import numpy as np
+
+from . import _kernels
 from .maps import GeneralizedCollatzMap, u_map
 
 
@@ -89,10 +92,11 @@ def _resolve_stop_at_one(map_: GeneralizedCollatzMap, stop_at_one: bool | None) 
 
 
 def _walk_cycle(map_: GeneralizedCollatzMap, entry: int, length: int) -> Cycle:
+    step = map_._step
     members = [entry]
     x = entry
     for _ in range(length - 1):
-        x = map_.apply(x)
+        x = step(x)
         members.append(x)
     return Cycle.canonical(members)
 
@@ -113,6 +117,7 @@ def _follow(map_, n, limits, hash_budget, stop_at_one, values=None, floor=None):
     """
     if floor is None:
         floor = n
+    step = map_._step
     seen: dict[int, int] = {}
     room = hash_budget
     sentinel = 0  # no sentinel yet: orbit values are positive
@@ -141,7 +146,7 @@ def _follow(map_, n, limits, hash_budget, stop_at_one, values=None, floor=None):
             park = steps + interval
             interval *= 2
         odd += x & 1
-        nxt = map_.apply(x)
+        nxt = step(x)
         if nxt is None or nxt < 1:
             return Outcome.HIT_UNDEFINED, steps, x, peak, odd, None
         x = nxt
@@ -216,9 +221,9 @@ class CycleCensus:
     undefined_starts: tuple[int, ...]
 
 
-# cycle_census verdicts other than a Cycle
-_LIMIT = "limit"
-_UNDEFINED = "undefined"
+# cycle_census verdict ids other than a Cycle's, which start at 2
+_LIMIT = 0
+_UNDEFINED = 1
 
 
 def cycle_census(
@@ -230,42 +235,86 @@ def cycle_census(
 ) -> CycleCensus:
     """Classify every start in [lo, hi]: which cycle it reaches, or why not.
 
-    Starts are processed in increasing order and an orbit that dips below
-    the current start inherits that smaller start's classification.  An
-    inherited cycle is genuine: the tail of the orbit is literally the
-    smaller start's orbit, and a budget the smaller start exhausted would
-    be exhausted by the longer path as well.  The walk to the dip and the
-    smaller start's walk draw on separate budgets, though, so a start may
-    be credited with a cycle that its own walk would not reach within the
+    An orbit that dips into [lo, n), below its start n but not below lo,
+    inherits that smaller start's classification.  An inherited cycle
+    is genuine: the tail of the orbit is literally the smaller start's
+    orbit, and a budget the smaller start exhausted would be exhausted
+    by the longer path as well.  The walk to the dip and the smaller
+    start's walk draw on separate budgets, though, so a start may be
+    credited with a cycle that its own walk would not reach within the
     limits: under IterationLimits(60, 4096), 27 dips at step 59 and
     inherits the cycle [1, 2], while iterate stops it at the step limit.
-    Orbits that do not dip are followed by the same loop and detector as
-    iterate.  The verdict of start n is kept at index n - lo: a Cycle
-    shared by every start that reaches it, or one of two module constants.
+
+    The starts go through the dip kernel in blocks of LANES, with at
+    most min(max_steps, DIP_CAP) steps each and a guard that keeps every
+    iterate inside int64 and at most max_bits bits.  Every start it
+    hands back (no dip by then, an iterate past the guard, an undefined
+    or non-positive step, a block with fewer than DIP_MIN_LIVE lanes
+    still walking, a block above int64) is followed by _follow, the loop
+    and cycle detector of iterate.  A dip the kernel finds is the one
+    _follow would find, at the same step, so the census is the one
+    that follows every start:
+    - before _follow can report a repeat it has visited every distinct
+      value of the orbit once, so the first iterate in [lo, n) comes
+      before any repeat is detected;
+    - _follow checks the step budget before each step, so a dip at step
+      t <= max_steps reaches its floor test, and the kernel takes at
+      most max_steps steps;
+    - the guard hands a lane back before any value past max_bits, an
+      undefined class or a value below 1, where _follow would stop.
+    Verdicts then reach the dipped starts by vectorized passes that
+    follow each start's chain of dips, doubling the reach every pass.
     """
     if lo < 1 or hi < lo:
         raise ValueError("census range must satisfy 1 <= lo <= hi")
     cycles: dict[tuple[int, ...], Cycle] = {}
-    verdicts: list = []
-    limit_starts = []
-    undefined_starts = []
-    for n in range(lo, hi + 1):
-        outcome, _, x, _, _, cycle = _follow(map_, n, limits, hash_budget, False, None, lo)
-        if outcome is None:
-            verdict = verdicts[x - lo]
-        elif cycle is not None:
-            verdict = cycles.setdefault(cycle.members, cycle)
-        elif outcome is Outcome.HIT_UNDEFINED:
-            verdict = _UNDEFINED
-        else:
-            verdict = _LIMIT
-        verdicts.append(verdict)
-        if verdict is _LIMIT:
-            limit_starts.append(n)
-        elif verdict is _UNDEFINED:
-            undefined_starts.append(n)
+    cycle_ids: dict[tuple[int, ...], int] = {}
+    ids = np.full(hi - lo + 1, -1, np.int32)  # verdict id of start lo + i
+    cap = min(limits.max_steps, _kernels.DIP_CAP)
+    table = None
+    for a in range(lo, hi + 1, _kernels.LANES):
+        b = min(a + _kernels.LANES, hi + 1)
+        dipped = np.zeros(b - a, np.int64)
+        target = dipped
+        if b - a >= _kernels.DIP_MIN_LIVE and cap > 0 and b - 1 <= _kernels._INT64_MAX:
+            if table is None:
+                top = min(_kernels._INT64_MAX, (map_.d << max(limits.max_bits, 0)) - 1)
+                table = _kernels.map_table(map_.d, map_.pairs, map_.undefined_residues, top)
+            dipped, target, _ = _kernels.dip(
+                np.arange(a, b, dtype=np.int64), table, lo, cap, _kernels.DIP_MIN_LIVE)
+        chain = target - lo  # offset of each start's dip target
+        for j in np.flatnonzero(dipped == 0).tolist():
+            outcome, _, x, _, _, cycle = _follow(map_, a + j, limits, hash_budget, False, None, lo)
+            if outcome is None:
+                chain[j] = x - lo
+            elif cycle is not None:
+                ids[a - lo + j] = cycle_ids.setdefault(cycle.members, len(cycle_ids) + 2)
+                cycles.setdefault(cycle.members, cycle)
+            else:
+                ids[a - lo + j] = _UNDEFINED if outcome is Outcome.HIT_UNDEFINED else _LIMIT
+        _settle(ids, chain, a - lo)
+    limit_starts = tuple(lo + i for i in np.flatnonzero(ids == _LIMIT).tolist())
+    undefined_starts = tuple(lo + i for i in np.flatnonzero(ids == _UNDEFINED).tolist())
     ordered = sorted(cycles.values(), key=lambda c: (c.members[0], c.length, c.members))
-    return CycleCensus(lo, hi, tuple(ordered), tuple(limit_starts), tuple(undefined_starts))
+    return CycleCensus(lo, hi, tuple(ordered), limit_starts, undefined_starts)
+
+
+def _settle(ids, chain, base):
+    """Give each unsettled start of the block at base its dip target's verdict id.
+
+    chain[j] is the offset of start base + j's target, which is smaller.
+    Every entry of ids below base is settled, so a pending start points
+    into the block, and each pass moves it to its target's target.
+    """
+    pend = np.flatnonzero(ids[base:base + chain.size] < 0)
+    while pend.size:
+        to = chain.take(pend)
+        got = ids.take(to)
+        done = got >= 0
+        ids[base + pend[done]] = got[done]
+        wait = ~done
+        pend, to = pend[wait], to[wait]
+        chain[pend] = chain.take(to - base)
 
 
 def permutation_orbit(

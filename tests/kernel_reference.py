@@ -6,15 +6,24 @@ tests/test_kernels.py compares the kernels against them bit for bit.
 build_table is the sieve table built by stepping every residue at
 once, and exact_recheck the one-step recheck walk; tests/test_sieve.py
 compares sieve.build_table and sieve._exact_recheck against them.
+cycle_census follows every start with trajectory._follow, one at a
+time; tests/test_trajectory.py compares trajectory.cycle_census, which
+walks the starts through the dip kernel, against it.  scan_records
+builds the record tables with Python loops; tests/test_stats.py
+compares stats.scan_records, which uses running maxima, against it.
 The int64 guard is a keyword so a test can lower it together with the
 kernels' own ``_OVF`` and make the overflow handback reachable at
 small values.
 """
 
+import math
+
 import numpy as np
 
 from collatz_lab._kernels import _OVF
 from collatz_lab.sieve import INT64_MAX, SieveTable
+from collatz_lab.stats import RecordScan, _scan_arrays
+from collatz_lab.trajectory import DEFAULT_LIMITS, CycleCensus, Outcome, _follow
 
 
 def scan_sigma_peak(hi, max_steps, ovf=_OVF):
@@ -147,3 +156,61 @@ def exact_recheck(n, lo, max_steps):
             return None
         x = (3 * x + 1) >> 1 if x & 1 else x >> 1
     return "no-descent-within-%d-steps" % max_steps
+
+
+def cycle_census(map_, lo, hi, limits=DEFAULT_LIMITS, hash_budget=1 << 26):
+    """Every start in [lo, hi] followed to a cycle, a budget, or a dip into [lo, n)."""
+    if lo < 1 or hi < lo:
+        raise ValueError("census range must satisfy 1 <= lo <= hi")
+    cycles = {}
+    verdicts = []
+    limit_starts = []
+    undefined_starts = []
+    for n in range(lo, hi + 1):
+        outcome, _, x, _, _, cycle = _follow(map_, n, limits, hash_budget, False, None, lo)
+        if outcome is None:
+            verdict = verdicts[x - lo]
+        elif cycle is not None:
+            verdict = cycles.setdefault(cycle.members, cycle)
+        elif outcome is Outcome.HIT_UNDEFINED:
+            verdict = "undefined"
+        else:
+            verdict = "limit"
+        verdicts.append(verdict)
+        if verdict == "limit":
+            limit_starts.append(n)
+        elif verdict == "undefined":
+            undefined_starts.append(n)
+    ordered = sorted(cycles.values(), key=lambda c: (c.members[0], c.length, c.members))
+    return CycleCensus(lo, hi, tuple(ordered), tuple(limit_starts), tuple(undefined_starts))
+
+
+def scan_records(lo, hi, gamma_threshold=6.143, limits=DEFAULT_LIMITS):
+    """The record tables built by Python loops over the scan arrays."""
+    sigma, peak1, unknown = _scan_arrays(hi, limits)
+    ns = np.arange(lo, hi + 1, dtype=np.int64)
+    sg = sigma[lo:hi + 1].astype(np.float64)
+    pk = peak1[lo:hi + 1].astype(np.float64)
+    ok = sigma[lo:hi + 1] >= 0
+    ln = np.log(ns.astype(np.float64))
+    gam = np.where(ok, sg / ln, -np.inf)
+    rh = np.where(ok & (pk >= 1), np.log(np.maximum(pk, 1.0)) / ln, -np.inf)
+    count = int((gam >= gamma_threshold).sum())
+
+    def running(vals):
+        out = []
+        best = -math.inf
+        for n, v in zip(ns, vals):
+            if v > best:
+                best = v
+                out.append((int(n), float(v)))
+        return tuple(out)
+
+    p_rec = []
+    best = -1
+    for n, ok_n, p in zip(ns, ok, peak1[lo:hi + 1]):
+        if ok_n and p > best:
+            best = int(p)
+            p_rec.append((int(n), int(p)))
+    return RecordScan(lo, hi, running(gam), running(rh), tuple(p_rec), gamma_threshold,
+                      count, unknown)

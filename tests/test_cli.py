@@ -7,10 +7,13 @@ or anomaly found.
 
 import hashlib
 import json
+import os
+import sys
 
+import numpy as np
 import pytest
 
-from collatz_lab import sieve, tag
+from collatz_lab import _kernels, render, sieve, tag
 from collatz_lab.cli import main
 from collatz_lab.maps import TABLE_BASE
 from collatz_lab.trajectory import IterationLimits
@@ -334,6 +337,23 @@ class TestTag:
         assert code == 2
         assert out == ("all-zero lengths against the halved 3x+1 orbit of 27: "
                        "undecided, a budget ran out\n")
+
+
+class TestInfo:
+    def test_reports_this_process(self, capsys):
+        code, out, _ = run_cli(capsys, "info", "--format", "json")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc == {
+            "schema": "collatz-lab/1", "kind": "info", "backend": "numpy",
+            "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
+            "cpu_count": os.cpu_count(), "lanes": _kernels.LANES,
+            "verify_lanes": _kernels.VERIFY_LANES, "dip_cap": _kernels.DIP_CAP,
+            "dip_min_live": _kernels.DIP_MIN_LIVE,
+        }
+        code, out, _ = run_cli(capsys, "info")
+        assert code == 0
+        assert out == render.info_to_text(doc)
 
 
 class TestCycles:

@@ -9,7 +9,7 @@ jump budget) and to straddle the LANES block boundary.
 """
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
@@ -196,3 +196,57 @@ def test_verify_span_property(k, b0, nspans, lo_off, hi_off, max_jumps, qshift):
 )
 def test_verify_dense_property(n0, length, lo_back, max_steps):
     _same_dense(n0, n0 + length - 1, max(1, n0 - lo_back), max_steps)
+
+
+_I64 = (-(2**63), 2**63 - 1)
+
+
+@settings(max_examples=300, deadline=None)
+@example(a=3, b=-(2**62), top=2**63 - 1)
+@example(a=-3, b=2**62, top=2**63 - 1)
+@example(a=5, b=1, top=(2 << 20) - 1)
+@given(
+    a=st.integers(-40, 40) | st.integers(-(2**64), 2**64),
+    b=st.integers(-(2**64), 2**64) | st.integers(-40, 40),
+    top=st.integers(1, 2**63 - 1) | st.integers(1, 10**6),
+)
+def test_map_table_guard_keeps_the_step_inside_int64(a, b, top):
+    # Every x in [1, guard] has a*x and a*x + b inside int64 and
+    # a*x + b <= top; for a > 0 with int64 coefficients the guard is the
+    # largest such x.
+    def fits(x):
+        return (_I64[0] <= a * x <= _I64[1] and _I64[0] <= a * x + b <= _I64[1]
+                and a * x + b <= top)
+
+    table = _kernels.map_table(2, [(a, b), (1, 0)], (), top)
+    g = int(table.guard[0])
+    assert g >= -1
+    if g >= 1:
+        assert fits(1) and fits(g)
+        assert (int(table.a[0]), int(table.b[0])) == (a, b)
+    if 0 < a <= _I64[1] and _I64[0] <= b <= top and g < _I64[1]:
+        assert not fits(g + 1)
+    assert int(_kernels.map_table(2, [(a, b), (1, 0)], {0}, top).guard[0]) == -1
+
+
+def test_dip_reports_the_first_iterate_in_the_window():
+    # 3x+1 on [20, 40) with floor 10: 20 -> 10 dips at step 1; 27 walks
+    # far above and is handed back at the cap; 32 -> 16 dips.
+    table = _kernels.map_table(2, [(1, 0), (3, 1)], (), _kernels._INT64_MAX)
+    n = np.arange(20, 40, dtype=np.int64)
+    steps, target, peak = _kernels.dip(n, table, 10, 50)
+    for j, start in enumerate(range(20, 40)):
+        x, t, pk = start, 0, 0
+        while t < 50:
+            x = (3 * x + 1) // 2 if x & 1 else x // 2
+            t += 1
+            pk = max(pk, x)
+            if 10 <= x < start:
+                break
+        else:
+            t = 0
+        assert steps[j] == t, start
+        if t:
+            assert (target[j], peak[j]) == (x, pk), start
+    assert steps[27 - 20] == 0
+    assert not _kernels.dip(n, table, 10, 50, min_live=21)[0].any()

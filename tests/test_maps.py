@@ -1,6 +1,10 @@
 """Tests for the piecewise-affine map layer: rule tables, named maps, parsing."""
 
+import pickle
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from collatz_lab.maps import (
     MapSpecError,
@@ -141,3 +145,35 @@ class TestParsing:
             parse_map_spec("7x+3")
         with pytest.raises(MapSpecError):
             parse_map_spec("d=3;pairs=(1,0),(3,1)")
+
+
+@st.composite
+def _rule_tables(draw):
+    d = draw(st.integers(2, 9))
+    partial = draw(st.booleans())
+    pairs = []
+    for i in range(d):
+        a = draw(st.integers(-40, 40) | st.integers(-(2**70), 2**70))
+        b = -i * a + d * draw(st.integers(-(2**70), 2**70))
+        if partial and draw(st.booleans()):
+            b += draw(st.integers(1, d - 1))
+        pairs.append((a, b))
+    return make_general_map(d, pairs, allow_partial=partial)
+
+
+@settings(max_examples=300, deadline=None)
+@given(map_=_rule_tables(), xs=st.lists(st.integers(-(2**400), 2**400), min_size=1, max_size=8))
+def test_fast_step_equals_apply(map_, xs):
+    # The step built at construction (mask and shift for a power-of-two
+    # modulus) is apply: same values, None on the same classes.
+    for x in xs:
+        assert map_._step(x) == map_.apply(x)
+        assert map_._step(x - 1) == map_.apply(x - 1)
+
+
+def test_maps_pickle_with_their_step():
+    part = make_general_map(2, [(1, 1), (3, 1)], allow_partial=True, name="p")
+    for original in (u_map(), part, parse_map_spec("d=3;pairs=(1,0),(4,-1),(4,1)")):
+        copy = pickle.loads(pickle.dumps(original))
+        assert copy == original and copy.name == original.name
+        assert [copy._step(x) for x in range(-9, 30)] == [original.apply(x) for x in range(-9, 30)]

@@ -20,6 +20,8 @@ from collatz_lab import (
 from collatz_lab.maps import TABLE_BASE, t5_map, t_map
 from collatz_lab.render import (
     SCHEMA,
+    info_to_json,
+    info_to_text,
     census_to_csv,
     census_to_json,
     closure_to_json,
@@ -231,3 +233,28 @@ class TestTagViews:
         assert doc["outcome"] == "cycled"
         assert doc["cycle_start"] == 3
         assert doc["cycle_length"] == 2
+
+
+class TestInfo:
+    INFO = {"backend": "numpy", "python": "3.11.7", "numpy": "2.4.6", "cpu_count": None,
+            "lanes": 65536, "verify_lanes": 16384, "dip_cap": 1000, "dip_min_live": 64}
+
+    def test_text_is_frozen(self):
+        assert info_to_text(self.INFO) == (
+            "backend       numpy     kernel backend (numba when USING_NUMBA)\n"
+            "python        3.11.7    Python version\n"
+            "numpy         2.4.6     numpy version\n"
+            "cpu_count     unknown   logical CPUs (os.cpu_count)\n"
+            "lanes         65536     lanes per dip-kernel block (records scan, cycle census)\n"
+            "verify_lanes  16384     lanes per verify-kernel block\n"
+            "dip_cap       1000      census steps before a start is handed back\n"
+            "dip_min_live  64        census block handed back below this many walking lanes\n"
+        )
+
+    def test_json_is_frozen(self):
+        doc = info_to_json(dict(self.INFO, cpu_count=2))
+        assert json.dumps(doc) == (
+            '{"schema": "collatz-lab/1", "kind": "info", "backend": "numpy", '
+            '"python": "3.11.7", "numpy": "2.4.6", "cpu_count": 2, "lanes": 65536, '
+            '"verify_lanes": 16384, "dip_cap": 1000, "dip_min_live": 64}'
+        )

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+import kernel_reference as ref
 from collatz_lab import (
     CensusAnomalyError,
     IterationLimits,
@@ -213,3 +214,14 @@ class TestScanRecords:
             scan_records(1, 100)
         with pytest.raises(ValueError):
             scan_records(50, 10)
+
+
+@pytest.mark.parametrize("lo,hi,max_steps", [
+    (2, 3, 10**6), (2, 20_000, 10**6), (777, 70_000, 10**6), (2, 5000, 40), (300, 5000, 7),
+])
+def test_record_tables_match_the_loops(lo, hi, max_steps):
+    # Running maxima with a strict-increase mask compare the same floats
+    # and ints as the loops, so the holders, the values and the
+    # threshold count are equal, budget-guarded starts included.
+    limits = IterationLimits(max_steps, 10**5)
+    assert scan_records(lo, hi, limits=limits) == ref.scan_records(lo, hi, limits=limits)

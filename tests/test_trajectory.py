@@ -1,7 +1,11 @@
 """Tests for exact orbit iteration, cycle detection, and the cycle census."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import kernel_reference as ref
+from collatz_lab import _kernels, trajectory
 from collatz_lab import (
     Cycle,
     IterationLimits,
@@ -12,7 +16,14 @@ from collatz_lab import (
     iterate,
     permutation_orbit,
 )
-from collatz_lab.maps import make_3k_map, make_general_map, t5_map, t_map, u_map
+from collatz_lab.maps import (
+    make_3k_map,
+    make_general_map,
+    parse_map_spec,
+    t5_map,
+    t_map,
+    u_map,
+)
 
 
 class TestIterate:
@@ -239,3 +250,97 @@ def test_census_credits_an_inherited_cycle_past_the_start_budget():
     assert cycle_census(t_map(), 1, 300, limits).limit_starts == ()
     traj = iterate(t_map(), 27, limits, stop_at_one=False)
     assert traj.outcome is Outcome.HIT_STEP_LIMIT
+
+
+# The census walks starts through the dip kernel and hands the rest to
+# _follow; it must equal the oracle that follows every start.
+_ORACLE_CASES = [
+    ("3x+1", 1, 10**5, None),
+    ("3x+1", 777, 60_000, None),
+    ("3x+1", 5000, 5000 + _kernels.LANES + 300, None),
+    ("3x+5", 1, 10**5, None),
+    ("3x+7", 50, 30_000, None),
+    ("3x+5", 2, 2 * _kernels.LANES + 10, IterationLimits(60, 4096)),
+    ("5x+1", 1, 300, IterationLimits(2000, 256)),
+    ("u", 1, 300, IterationLimits(2000, 256)),
+    ("5x+1", 1, 3000, IterationLimits(500, 4096)),
+    ("5x+1", 100, 2000, IterationLimits(2000, 63)),
+    ("5x+1", 100, 2000, IterationLimits(2000, 62)),
+    ("u", 1, 2000, IterationLimits(300, 40)),
+    ("3x+1", 1, 3000, IterationLimits(1, 4096)),
+    ("3x+1", 1, 3000, IterationLimits(2, 63)),
+    ("3x+1", 40, 3000, IterationLimits(3, 10)),
+    ("3x+1", 1, 3000, IterationLimits(10_000, 12)),
+    ("3x+1", 2**60, 2**60 + 300, IterationLimits(2000, 61)),
+    ("3x+1", 1, 3000, IterationLimits(0, 4096)),
+    ("3x+1", 2**62, 2**62 + 200, IterationLimits(2000, 4096)),
+    ("3x+1", 2**63 - 100, 2**63 + 100, IterationLimits(2000, 4096)),
+    ("d=3;pairs=(1,0),(4,-1),(4,1)", 1, 5000, IterationLimits(3000, 4096)),
+    ("d=2;pairs=(1,1),(3,1);partial=true", 1, 500, None),
+    ("d=2;pairs=(2,-2),(2,-2)", 1, _kernels.LANES + 500, None),
+]
+
+
+@pytest.mark.parametrize("spec,lo,hi,limits", _ORACLE_CASES,
+                         ids=["%s-%d-%d-%s" % (c[:3] + (
+                             "%d-%d" % (c[3].max_steps, c[3].max_bits) if c[3] else "default",))
+                              for c in _ORACLE_CASES])
+def test_census_equals_the_follow_every_start_oracle(spec, lo, hi, limits):
+    map_ = _AGREEMENT_MAPS.get(spec) or parse_map_spec(spec)
+    limits = limits or trajectory.DEFAULT_LIMITS
+    assert cycle_census(map_, lo, hi, limits) == ref.cycle_census(map_, lo, hi, limits)
+
+
+def test_census_hands_back_past_a_lowered_int64_guard(monkeypatch):
+    # With the kernel's int64 ceiling at 10^4 every lane that would step
+    # past it is handed back to _follow, and the census is unchanged.
+    limits = IterationLimits(2000, 256)
+    want = [ref.cycle_census(m, 1, 3000, limits) for m in (t_map(), make_3k_map(5), u_map())]
+    followed = []
+    real = trajectory._follow
+    monkeypatch.setattr(trajectory, "_follow",
+                        lambda map_, n, *args: followed.append(n) or real(map_, n, *args))
+    assert cycle_census(t_map(), 1, 3000, limits) == want[0]
+    assert followed[:1] == [1] and len(followed) < 100
+    monkeypatch.setattr(_kernels, "_INT64_MAX", 10**4)
+    del followed[:]
+    assert cycle_census(t_map(), 1, 3000, limits) == want[0]
+    assert 300 < len(followed) < 3000
+    assert cycle_census(make_3k_map(5), 1, 3000, limits) == want[1]
+    assert cycle_census(u_map(), 1, 3000, limits) == want[2]
+
+
+def test_one_start_census_runs_no_kernel(monkeypatch):
+    monkeypatch.setattr(_kernels, "dip", None)
+    census = cycle_census(t5_map(), 13, 13)
+    assert [c.members for c in census.cycles] == [(13, 33, 83, 208, 104, 52, 26)]
+
+
+@st.composite
+def _random_maps(draw):
+    d = draw(st.sampled_from([2, 3, 4, 6]))
+    partial = draw(st.booleans())
+    pairs = []
+    for i in range(d):
+        a = draw(st.integers(-2, 3 * d))
+        b = -i * a + d * draw(st.integers(-3, 3))  # admissible: i*a + b = 0 mod d
+        if partial and draw(st.integers(0, 3)) == 0:
+            b += draw(st.integers(1, d - 1))
+        pairs.append((a, b))
+    spec = "d=%d;pairs=%s;partial=%s" % (
+        d, ",".join("(%d,%d)" % p for p in pairs), "true" if partial else "false")
+    return parse_map_spec(spec)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    map_=_random_maps(),
+    lo=st.integers(1, 300),
+    count=st.integers(1, 400),
+    max_steps=st.sampled_from([1, 2, 3, 40, 300]),
+    max_bits=st.sampled_from([20, 62, 63, 128]),
+)
+def test_census_of_random_maps_equals_the_oracle(map_, lo, count, max_steps, max_bits):
+    limits = IterationLimits(max_steps, max_bits)
+    hi = lo + count - 1
+    assert cycle_census(map_, lo, hi, limits) == ref.cycle_census(map_, lo, hi, limits)
