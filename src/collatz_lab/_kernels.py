@@ -10,8 +10,7 @@ plain one-start-at-a-time loop, applied per lane:
 - resolved: the iterate is <= 2 or below the floor ``lo`` (verify), or
   the first iterate in [floor, n) (dip);
 - handed back: the next step could leave int64 (``q > qmax[c]`` for a
-  jump, an odd iterate above ``_OVF`` for a single 3x+1 step, an
-  iterate above its class's guard for a map table);
+  jump, an iterate above its class's guard for a map table);
 - out of budget: the lane used up its ``max_jumps`` / ``max_steps``.
 
 dip is the one kernel behind two callers.  scan_sigma_peak runs it for
@@ -29,14 +28,14 @@ size bounds only the temporaries (a few int64 arrays of one block),
 not the answer.  It does set their speed: a 2^16-lane int64 array is
 512 KiB, above glibc's initial 128 KiB mmap threshold, so each step's
 temporaries are mapped and faulted in afresh until some larger free
-happens to raise that threshold.  At 2^16 lanes verify_dense on
-[1, 65535] took 0.06-0.08 s in a fresh process and 0.05 s after one
-16 MiB array was freed; at 2^14 lanes, whose arrays are at most
-128 KiB and mostly far smaller once lanes leave, it takes 0.04-0.05 s
-either way.  The dip kernel keeps 2^16: its lanes stay live much
-longer, and at 2^14 a scan to 10^6 took about 1.4x as long.  Arbitrary
-precision work never lands here: callers re-run every handed-back
-start with Python integers.
+happens to raise that threshold.  verify_span over the 76 spans of
+[1, 5e6] at k=16 took 24-36 ms in a fresh process at 2^16 lanes and
+17-30 ms at 2^14 lanes (16-28 and 15-25 ms after one 16 MiB array
+was freed); verify_dense on [1, 65535] took 6-12 and 5-8 ms.  The
+dip kernel keeps 2^16: its lanes stay live much longer, and at 2^14
+a scan to 10^6 took about 1.4x as long.  Arbitrary precision work
+never lands here: callers re-run every handed-back start with Python
+integers.
 """
 
 from __future__ import annotations
@@ -71,13 +70,6 @@ def _step(x: np.ndarray) -> np.ndarray:
     up *= odd
     up += x >> 1
     return up
-
-
-def _handback(x: np.ndarray) -> np.ndarray | None:
-    """Lanes whose odd iterate exceeds the int64 guard, or None if none do."""
-    if x.max() <= _OVF:
-        return None
-    return (x > _OVF) & ((x & 1) == 1)
 
 
 def _ascending(parts: list) -> np.ndarray:
@@ -243,18 +235,48 @@ def _scan_block(sigma, peak1, a, b, table, max_steps):
         peak1[a + lanes] = np.where(good, np.maximum(peak.take(lanes), peak1.take(tgt)), -2)
 
 
+def _jump_block(n, floor, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved):
+    """Jump every int64 start in n until it is below floor; append the rest to unresolved.
+
+    Each jump applies T^k(q * 2^k + r) = 3^c(r) * q + s(r), which is
+    exact for every q >= 0.  A start is handed back when its next jump
+    could leave int64 (q > qmax[c]) or its max_jumps jumps run out; the
+    last jump's result is never tested.
+    """
+    mask = (1 << k) - 1
+    q_safe = int(qmax.min())  # no lane with q <= q_safe can overflow
+    x = n
+    for _ in range(max_jumps):
+        live = x >= floor
+        if not live.all():
+            live = np.flatnonzero(live)
+            x, n = x.take(live), n.take(live)
+        if not x.size:
+            break
+        q = x >> k
+        r = x & mask
+        c = c_tab.take(r)
+        if q.max() > q_safe:
+            over = q > qmax.take(c)
+            if over.any():
+                unresolved.append(n[over])
+                keep = np.flatnonzero(~over)
+                n, q, r, c = n.take(keep), q.take(keep), r.take(keep), c.take(keep)
+        x = pow3.take(c)
+        x *= q
+        x += s_tab.take(r)
+    unresolved.append(n)
+
+
 def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jumps):
     """Drive every surviving residue in blocks [b0, b1) down below lo or to 1.
 
-    Block b covers [b * 2^k, (b+1) * 2^k); only starts inside [lo, hi]
-    count.  Iteration advances k steps at a time through the table
-    identity T^k(q * 2^k + r) = 3^c(r) * q + s(r).  Starts that exhaust
-    max_jumps or would overflow int64 are returned, in ascending order,
-    for exact re-checking.
+    Block b covers [b * 2^k, (b+1) * 2^k), with b1 <= 2^(63-k); only
+    starts inside [lo, hi] count.  Starts that exhaust max_jumps or
+    would overflow int64 are returned, in ascending order, for exact
+    re-checking.
     """
-    mask = (1 << k) - 1
     floor = max(lo, 3)  # x <= 2 or x < lo
-    q_safe = int(qmax.min())  # no lane with q <= q_safe can overflow
     width = survivors.size
     total = (b1 - b0) * width
     checked = 0
@@ -265,56 +287,20 @@ def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jump
         if n[0] < lo or n[-1] > hi:
             n = n[(n >= lo) & (n <= hi)]
         checked += n.size
-        x = n
-        for _ in range(max_jumps):
-            live = x >= floor
-            if not live.all():
-                live = np.flatnonzero(live)
-                x, n = x.take(live), n.take(live)
-            if not x.size:
-                break
-            q = x >> k
-            r = x & mask
-            c = c_tab.take(r)
-            if q.max() > q_safe:
-                over = q > qmax.take(c)
-                if over.any():
-                    unresolved.append(n[over])
-                    keep = np.flatnonzero(~over)
-                    n, q, r, c = n.take(keep), q.take(keep), r.take(keep), c.take(keep)
-            x = pow3.take(c)
-            x *= q
-            x += s_tab.take(r)
-        unresolved.append(n)
+        _jump_block(n, floor, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved)
     return checked, _ascending(unresolved)
 
 
-def verify_dense(n0, n1, lo, max_steps):
-    """Plain stepping over [n0, n1], where no class is skipped.
+def verify_dense(n0, n1, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
+    """Every start of [n0, n1], n1 < 2^63, jumped like verify_span's survivors.
 
     Success means falling below lo (the whole run's floor, usually
-    <= n0) or reaching the 1-2 loop.  Starts that exhaust max_steps or
-    meet an odd iterate above the int64 guard are returned, ascending.
+    <= n0) or reaching the 1-2 loop.  Starts that exhaust max_jumps or
+    would overflow int64 are returned, ascending.
     """
     floor = max(lo, 3)  # x <= 2 or x < lo
-    checked = 0
     unresolved = []
     for a in range(n0, n1 + 1, VERIFY_LANES):
         n = np.arange(a, min(a + VERIFY_LANES, n1 + 1), dtype=np.int64)
-        checked += n.size
-        x = n
-        for _ in range(max_steps):
-            live = x >= floor
-            if not live.all():
-                live = np.flatnonzero(live)
-                x, n = x.take(live), n.take(live)
-            if not x.size:
-                break
-            over = _handback(x)
-            if over is not None:
-                unresolved.append(n[over])
-                keep = np.flatnonzero(~over)
-                x, n = x.take(keep), n.take(keep)
-            x = _step(x)
-        unresolved.append(n)
-    return checked, _ascending(unresolved)
+        _jump_block(n, floor, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved)
+    return max(n1 + 1 - n0, 0), _ascending(unresolved)

@@ -230,7 +230,7 @@ def _cmd_cycles(args) -> int:
 
 def _cmd_info(args) -> int:
     info = {
-        "backend": "numba" if _kernels.USING_NUMBA else "numpy",
+        "backend": "numpy",
         "python": "%d.%d.%d" % sys.version_info[:3],
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
@@ -253,8 +253,6 @@ def _parse_generator(text: str) -> affine_sets.AffineGenerator:
 
 
 def _cmd_sets_closure(args) -> int:
-    if args.bound is None:
-        raise ValueError("--bound is required")
     if args.gen:
         gens = [_parse_generator(g) for g in args.gen]
         seeds = args.seed or [1]

@@ -19,6 +19,7 @@ import time
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -167,9 +168,8 @@ def parity_bijection_check(k: int) -> bool:
     x = np.arange(size, dtype=np.int64)
     words = np.zeros(size, dtype=np.int64)
     for j in range(k):
-        odd = (x & 1) == 1
-        words |= odd.astype(np.int64) << j
-        x = np.where(odd, (3 * x + 1) >> 1, x >> 1)
+        words |= (x & 1) << j
+        x = _kernels._step(x)
     return bool(np.array_equal(np.sort(words), np.arange(size, dtype=np.int64)))
 
 
@@ -181,8 +181,9 @@ class VerificationReport:
     given (lo, hi, k, spans_per_chunk), independent of worker count and
     of any kill/resume in between.  rechecked counts the exact
     re-follows of the chunks this call ran, whichever process (the
-    caller or a pool worker) ran them; chunks credited from a
-    checkpoint add none.  elapsed is wall time.
+    caller or a pool worker) ran them: the starts a kernel handed back
+    (its int64 guard or max_jumps) and every start >= 2^63.  Chunks
+    credited from a checkpoint add none.  elapsed is wall time.
     """
 
     lo: int
@@ -235,17 +236,28 @@ def _chunk_checked(table: SieveTable, chunk) -> tuple[int, int]:
 
 
 def _run_chunk(table: SieveTable, chunk, lo: int, hi: int, max_jumps: int, recheck_steps: int):
-    """(checked, rechecked, counterexamples) of one chunk, rechecks included."""
+    """(checked, rechecked, counterexamples) of one chunk, rechecks included.
+
+    Starts >= 2^63, a span boundary for every k <= MAX_TABLE_K, do not
+    fit an int64 lane and go straight to the exact recheck.
+    """
     kind, a, b = chunk
+    k = table.k
+    jumps = (table.c, table.s, table.pow3, table.qmax, max_jumps)
     if kind == "dense":
-        checked, unresolved = _kernels.verify_dense(a, b, lo, recheck_steps)
+        checked, unresolved = _kernels.verify_dense(a, min(b, INT64_MAX), k, lo, *jumps)
+        big = range(max(a, INT64_MAX + 1), b + 1)
+        n_big = len(big)
     else:
+        cut = (INT64_MAX + 1) >> k
         checked, unresolved = _kernels.verify_span(
-            a, b, table.k, lo, hi, table.survivors,
-            table.c, table.s, table.pow3, table.qmax, max_jumps,
-        )
-    return int(checked), int(unresolved.size), _exact_recheck(
-        table, unresolved.tolist(), lo, recheck_steps)
+            a, min(b, cut), k, lo, hi, table.survivors, *jumps)
+        spans = range(max(a, cut), b)
+        big = ((q << k) + r for q in spans for r in table.survivors.tolist())
+        n_big = len(spans) * table.survivors.size
+    starts = chain(unresolved.tolist(), big)
+    return int(checked) + n_big, int(unresolved.size) + n_big, _exact_recheck(
+        table, starts, lo, recheck_steps)
 
 
 _WORKER_TABLE: SieveTable | None = None
@@ -395,17 +407,18 @@ def verify_range(
 ) -> VerificationReport:
     """Check that every start in [lo, hi] descends below lo or reaches 1.
 
-    Survivor classes are followed with k-step jumps; certified classes
-    are skipped outright; anything the int64 kernels could not settle
-    is re-followed exactly with big integers, by _exact_recheck in the
-    process that ran the chunk.
+    Survivor classes and the dense edges are followed with k-step
+    jumps; certified classes are skipped outright; anything the int64
+    kernels could not settle, and every start >= 2^63, is re-followed
+    exactly with big integers, by _exact_recheck in the process that
+    ran the chunk.
 
-    Descent is tested only at jump boundaries, after 0, k, 2k, ... steps
-    (one step at a time in dense chunks), and that is sound: the table
-    identity T^k(q * 2^k + r) = 3^c(r) * q + s(r) is exact for every
-    q >= 0, so every value seen at a boundary is a true iterate of the
-    start.  One that is <= 2 has reached the 1-2 loop; one below lo
-    has reached [1, lo), which is taken as verified.  Certified classes
+    Descent is tested only at jump boundaries, after 0, k, 2k, ...
+    steps, in dense chunks too, and that is sound: the table identity
+    T^k(q * 2^k + r) = 3^c(r) * q + s(r) is exact for every q >= 0,
+    so every value seen at a boundary is a true iterate of the start.
+    One that is <= 2 has reached the 1-2 loop; one below lo has
+    reached [1, lo), which is taken as verified.  Certified classes
     fall below themselves rather than below lo, and strong induction
     over [lo, hi] on top of [1, lo) covers them.  So when no
     counterexample is listed, every start of [lo, hi] reaches 1, given

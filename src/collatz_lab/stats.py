@@ -142,9 +142,8 @@ def parity_vector(n: int, k: int) -> tuple[int, ...]:
     bits = []
     x = n
     for _ in range(k):
-        b = x % 2
-        bits.append(b)
-        x = (3 * x + 1) // 2 if b else x // 2
+        bits.append(x % 2)
+        x = t_step(x)
     return tuple(bits)
 
 

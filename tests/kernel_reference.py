@@ -11,7 +11,9 @@ time; tests/test_trajectory.py compares trajectory.cycle_census, which
 walks the starts through the dip kernel, against it.  scan_records
 builds the record tables with Python loops; tests/test_stats.py
 compares stats.scan_records, which uses running maxima, against it.
-The int64 guard is a keyword so a test can lower it together with the
+verify_span and verify_dense follow each start with one scalar jump
+walk, as both kernels run one block loop.  scan_sigma_peak takes the
+int64 guard as a keyword so a test can lower it together with the
 kernels' own ``_OVF`` and make the overflow handback reachable at
 small values.
 """
@@ -63,8 +65,23 @@ def scan_sigma_peak(hi, max_steps, ovf=_OVF):
     return sigma, peak1
 
 
-def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jumps):
+def _jumps_down(n, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
+    """Whether start n jumps to an iterate <= 2 or below lo, inside int64 and the budget."""
     mask = (1 << k) - 1
+    x = n
+    for _ in range(max_jumps):
+        if x <= 2 or x < lo:
+            return True
+        q = x >> k
+        r = x & mask
+        cc = int(c_tab[r])
+        if q > qmax[cc]:
+            return False
+        x = int(pow3[cc]) * q + int(s_tab[r])
+    return False
+
+
+def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jumps):
     unresolved = []
     checked = 0
     for b in range(b0, b1):
@@ -74,43 +91,16 @@ def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jump
             if n < lo or n > hi:
                 continue
             checked += 1
-            x = n
-            ok = False
-            for _ in range(max_jumps):
-                if x <= 2 or x < lo:
-                    ok = True
-                    break
-                q = x >> k
-                r = x & mask
-                cc = int(c_tab[r])
-                if q > qmax[cc]:
-                    break
-                x = int(pow3[cc]) * q + int(s_tab[r])
-            if not ok:
+            if not _jumps_down(n, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
                 unresolved.append(n)
     return checked, np.array(unresolved, np.int64)
 
 
-def verify_dense(n0, n1, lo, max_steps, ovf=_OVF):
-    unresolved = []
-    checked = 0
-    for n in range(n0, n1 + 1):
-        checked += 1
-        x = n
-        ok = False
-        for _ in range(max_steps):
-            if x <= 2 or x < lo:
-                ok = True
-                break
-            if x & 1:
-                if x > ovf:
-                    break
-                x = (3 * x + 1) >> 1
-            else:
-                x >>= 1
-        if not ok:
-            unresolved.append(n)
-    return checked, np.array(unresolved, np.int64)
+def verify_dense(n0, n1, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
+    starts = range(n0, n1 + 1)
+    unresolved = [n for n in starts
+                  if not _jumps_down(n, k, lo, c_tab, s_tab, pow3, qmax, max_jumps)]
+    return len(starts), np.array(unresolved, np.int64)
 
 
 def build_table(k):

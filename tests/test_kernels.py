@@ -41,9 +41,14 @@ def _same_span(*args):
     return got
 
 
-def _same_dense(n0, n1, lo, max_steps):
-    got = _kernels.verify_dense(n0, n1, lo, max_steps)
-    want = ref.verify_dense(n0, n1, lo, max_steps)
+def _dense_args(k, n0, n1, lo, max_jumps, qmax=None):
+    t = _table(k)
+    return (n0, n1, k, lo, t.c, t.s, t.pow3, t.qmax if qmax is None else qmax, max_jumps)
+
+
+def _same_dense(*args):
+    got = _kernels.verify_dense(*args)
+    want = ref.verify_dense(*args)
     assert got[0] == want[0]
     assert got[1].dtype == np.int64
     assert np.array_equal(got[1], want[1])
@@ -102,30 +107,33 @@ def test_scan_sigma_peak_int64_guard(monkeypatch):
 
 
 def test_verify_dense_matches_reference():
-    checked, unresolved = _same_dense(1, 4096, 1, 10**6)
+    checked, unresolved = _same_dense(*_dense_args(12, 1, 4096, 1, 10_000))
     assert checked == 4096
     assert unresolved.size == 0
 
 
 def test_verify_dense_budgets_and_windows():
     for n0, n1, lo in ((1, 3000, 1), (500, 2500, 500), (900, 1000, 1), (7, 7, 3)):
-        for max_steps in (0, 1, 2, 5, 30):
-            _same_dense(n0, n1, lo, max_steps)
+        for k in (1, 8, 12):
+            for max_jumps in (0, 1, 2, 5, 30):
+                _same_dense(*_dense_args(k, n0, n1, lo, max_jumps))
 
 
 def test_verify_dense_across_lane_blocks():
     lo = 10**6
-    _same_dense(lo, lo + LANES + 77, lo, 10**6)
-    _same_dense(lo, lo + LANES + 77, lo, 3)
+    _same_dense(*_dense_args(8, lo, lo + LANES + 77, lo, 10_000))
+    _same_dense(*_dense_args(8, lo, lo + LANES + 77, lo, 3))
 
 
-def test_verify_dense_int64_guard(monkeypatch):
-    monkeypatch.setattr(_kernels, "_OVF", 5000)
-    got = _kernels.verify_dense(1, 3000, 1, 10**6)
-    want = ref.verify_dense(1, 3000, 1, 10**6, ovf=5000)
-    assert got[0] == want[0]
-    assert np.array_equal(got[1], want[1])
-    assert 0 < want[1].size < 3000
+def test_verify_dense_int64_guard():
+    # A lowered qmax makes the handback reachable at small starts, and
+    # the top of int64 reaches the real one.
+    qmax = _table(8).qmax // (1 << 48)
+    checked, unresolved = _same_dense(*_dense_args(8, 1, 3000, 1, 10_000, qmax))
+    assert 0 < unresolved.size < checked
+    top = 2**63 - 1
+    checked, unresolved = _same_dense(*_dense_args(12, top - 300, top, top - 300, 10_000))
+    assert 0 < unresolved.size < checked == 301
 
 
 def test_verify_span_matches_reference():
@@ -189,13 +197,17 @@ def test_verify_span_property(k, b0, nspans, lo_off, hi_off, max_jumps, qshift):
 
 @settings(max_examples=40, deadline=None)
 @given(
-    n0=st.integers(1, 1 << 40),
+    k=st.integers(1, 12),
+    n0=st.integers(1, 1 << 40) | st.integers(1, 2**63 - 1),
     length=st.integers(0, 400),
     lo_back=st.integers(0, 1 << 12),
-    max_steps=st.integers(0, 200),
+    max_jumps=st.integers(0, 40),
+    qshift=st.integers(0, 50),
 )
-def test_verify_dense_property(n0, length, lo_back, max_steps):
-    _same_dense(n0, n0 + length - 1, max(1, n0 - lo_back), max_steps)
+def test_verify_dense_property(k, n0, length, lo_back, max_jumps, qshift):
+    n1 = min(n0 + length - 1, 2**63 - 1)
+    qmax = _table(k).qmax >> qshift
+    _same_dense(*_dense_args(k, n0, n1, max(1, n0 - lo_back), max_jumps, qmax))
 
 
 _I64 = (-(2**63), 2**63 - 1)

@@ -1,6 +1,7 @@
 """Tests for the k-step jump table and the checkpointed range verifier."""
 
 import dataclasses
+import json
 import os
 
 import numpy as np
@@ -18,7 +19,7 @@ from collatz_lab import (
     survivor_counts,
     verify_range,
 )
-from collatz_lab import sieve
+from collatz_lab import cli, sieve
 from collatz_lab.maps import t_step
 from collatz_lab.sieve import _plan_chunks
 
@@ -211,6 +212,92 @@ class TestForcedRecheck:
     def test_small_budgets_leave_counterexamples(self):
         report = verify_range(**self.CASES[1])
         assert 0 < len(report.counterexamples) < report.rechecked
+
+
+def _planned_starts(lo, hi, k):
+    """Every start the chunk plan of [lo, hi] checks, in plan order."""
+    survivors = build_table(k).survivors.tolist()
+    for kind, a, b in _plan_chunks(lo, hi, k, 256):
+        if kind == "dense":
+            yield from range(a, b + 1)
+        else:
+            yield from ((q << k) + r for q in range(a, b) for r in survivors)
+
+
+class TestAboveInt64:
+    # A start >= 2^63 does not fit an int64 lane; each one must reach
+    # the exact recheck rather than wrap inside a kernel.
+    CASES = [
+        dict(lo=2**63 - 2**12, hi=2**63 + 2**12 - 1, k=12),
+        dict(lo=2**63 - 10, hi=2**63 + 10, k=16),
+    ]
+
+    @pytest.mark.parametrize("case", CASES, ids=range(len(CASES)))
+    def test_every_start_above_int64_is_rechecked(self, case, monkeypatch):
+        seen = []
+
+        def recording(table, starts, lo, max_steps):
+            starts = list(starts)
+            seen.extend(starts)
+            return _step_walker_recheck(table, starts, lo, max_steps)
+
+        with monkeypatch.context() as m:
+            m.setattr(sieve, "_exact_recheck", recording)
+            want = verify_range(**case, workers=1)
+        got = verify_range(**case, workers=1)
+        assert _fields(got) == _fields(want)
+        planned = list(_planned_starts(**case))
+        big = [n for n in planned if n >= 2**63]
+        assert big and set(big) <= set(seen)
+        assert got.rechecked == len(seen) >= len(big)
+        assert got.checked_dense + got.checked_survivors == len(planned)
+
+    def test_range_above_int64_from_the_command_line(self, capsys):
+        code = cli.main(["verify", "--from", "9223372036854775809",
+                         "--to", "9223372036854775900", "--format", "json"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 0
+        assert doc["checked_dense"] == doc["rechecked"] == 92
+        assert doc["counterexamples"] == []
+
+
+class TestDenseWindows:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        k=st.sampled_from([4, 8, 12]),
+        lo=st.integers(2, 1 << 20),
+        length=st.integers(0, 600),
+        max_jumps=st.integers(0, 30),
+        recheck_steps=st.integers(0, 300),
+        workers=st.sampled_from([1, 2]),
+    )
+    def test_verdicts_match_a_plain_descent(self, k, lo, length, max_jumps, recheck_steps,
+                                             workers):
+        # A window shorter than 2^k - 1 holds no whole span, so every
+        # start is dense, in one chunk that verify_range runs in process
+        # for either worker count.  The kernel tests the first max_jumps jump
+        # boundaries and the recheck the first ceil(recheck_steps / k);
+        # below 2^21 no orbit nears the int64 guard, so a start is left
+        # open exactly when a plain t_step walk is above lo and above 2
+        # at every one of the first max(max_jumps, ceil(recheck_steps / k))
+        # boundaries.
+        hi = lo + min(length, (1 << k) - 2)
+        assert all(kind == "dense" for kind, _, _ in _plan_chunks(lo, hi, k, 256))
+        report = verify_range(lo, hi, k=k, workers=workers, max_jumps=max_jumps,
+                              recheck_steps=recheck_steps)
+        boundaries = max(max_jumps, -(-recheck_steps // k))
+        reason = "no-descent-within-%d-steps" % recheck_steps
+        want = []
+        for n in range(lo, hi + 1):
+            x = n
+            for _ in range(boundaries):
+                if x <= 2 or x < lo:
+                    break
+                x = t_iter(x, k)
+            else:
+                want.append((n, reason))
+        assert report.checked_dense == hi - lo + 1
+        assert list(report.counterexamples) == want
 
 
 class TestParityBijection:
