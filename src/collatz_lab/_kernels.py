@@ -7,8 +7,8 @@ live lane by one step (or one k-step jump), and a lane leaves the block
 as soon as its own stopping rule fires.  The rules are those of the
 plain one-start-at-a-time loop, applied per lane:
 
-- resolved: the iterate is <= 2 or below the floor ``lo`` (verify), or
-  the first iterate in [floor, n) (dip);
+- resolved: the iterate is below the start n, or <= 2 for starts 1
+  and 2 (verify), or the first iterate in [floor, n) (dip);
 - handed back: the next step could leave int64 (``q > qmax[c]`` for a
   jump, an iterate above its class's guard for a map table);
 - out of budget: the lane used up its ``max_jumps`` / ``max_steps``.
@@ -235,8 +235,8 @@ def _scan_block(sigma, peak1, a, b, table, max_steps):
         peak1[a + lanes] = np.where(good, np.maximum(peak.take(lanes), peak1.take(tgt)), -2)
 
 
-def _jump_block(n, floor, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved):
-    """Jump every int64 start in n until it is below floor; append the rest to unresolved.
+def _jump_block(n, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved):
+    """Jump every int64 start in n until it is below max(n, 3); append the rest to unresolved.
 
     Each jump applies T^k(q * 2^k + r) = 3^c(r) * q + s(r), which is
     exact for every q >= 0.  A start is handed back when its next jump
@@ -245,12 +245,15 @@ def _jump_block(n, floor, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved):
     """
     mask = (1 << k) - 1
     q_safe = int(qmax.min())  # no lane with q <= q_safe can overflow
+    if max_jumps and n.size and n.min() < 3:
+        n = n[n >= 3]  # 1 and 2 are <= 2 before any jump
     x = n
-    for _ in range(max_jumps):
-        live = x >= floor
-        if not live.all():
-            live = np.flatnonzero(live)
-            x, n = x.take(live), n.take(live)
+    for j in range(max_jumps):
+        if j:  # no start is below itself before its first jump
+            live = x >= n
+            if not live.all():
+                live = np.flatnonzero(live)
+                x, n = x.take(live), n.take(live)
         if not x.size:
             break
         q = x >> k
@@ -269,14 +272,14 @@ def _jump_block(n, floor, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved):
 
 
 def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jumps):
-    """Drive every surviving residue in blocks [b0, b1) down below lo or to 1.
+    """Jump every surviving residue in blocks [b0, b1) until it falls below itself.
 
     Block b covers [b * 2^k, (b+1) * 2^k), with b1 <= 2^(63-k); only
-    starts inside [lo, hi] count.  Starts that exhaust max_jumps or
-    would overflow int64 are returned, in ascending order, for exact
-    re-checking.
+    starts inside [lo, hi] count.  A start n resolves at the first jump
+    boundary whose iterate is below max(n, 3).  Starts that exhaust
+    max_jumps or would overflow int64 are returned, in ascending order,
+    for exact re-checking.
     """
-    floor = max(lo, 3)  # x <= 2 or x < lo
     width = survivors.size
     total = (b1 - b0) * width
     checked = 0
@@ -287,20 +290,19 @@ def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jump
         if n[0] < lo or n[-1] > hi:
             n = n[(n >= lo) & (n <= hi)]
         checked += n.size
-        _jump_block(n, floor, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved)
+        _jump_block(n, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved)
     return checked, _ascending(unresolved)
 
 
 def verify_dense(n0, n1, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
     """Every start of [n0, n1], n1 < 2^63, jumped like verify_span's survivors.
 
-    Success means falling below lo (the whole run's floor, usually
-    <= n0) or reaching the 1-2 loop.  Starts that exhaust max_jumps or
-    would overflow int64 are returned, ascending.
+    Success means falling below the start (or <= 2, for starts 1 and 2);
+    lo <= n0, the run's floor, does not move the stop.  Starts that
+    exhaust max_jumps or would overflow int64 are returned, ascending.
     """
-    floor = max(lo, 3)  # x <= 2 or x < lo
     unresolved = []
     for a in range(n0, n1 + 1, VERIFY_LANES):
         n = np.arange(a, min(a + VERIFY_LANES, n1 + 1), dtype=np.int64)
-        _jump_block(n, floor, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved)
+        _jump_block(n, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved)
     return max(n1 + 1 - n0, 0), _ascending(unresolved)

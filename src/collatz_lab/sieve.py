@@ -182,8 +182,9 @@ class VerificationReport:
     of any kill/resume in between.  rechecked counts the exact
     re-follows of the chunks this call ran, whichever process (the
     caller or a pool worker) ran them: the starts a kernel handed back
-    (its int64 guard or max_jumps) and every start >= 2^63.  Chunks
-    credited from a checkpoint add none.  elapsed is wall time.
+    (its int64 guard, or max_jumps jumps without falling below itself)
+    and every start >= 2^63.  Chunks credited from a checkpoint add
+    none.  elapsed is wall time.
     """
 
     lo: int
@@ -253,7 +254,8 @@ def _run_chunk(table: SieveTable, chunk, lo: int, hi: int, max_jumps: int, reche
         checked, unresolved = _kernels.verify_span(
             a, min(b, cut), k, lo, hi, table.survivors, *jumps)
         spans = range(max(a, cut), b)
-        big = ((q << k) + r for q in spans for r in table.survivors.tolist())
+        survivors = table.survivors.tolist() if spans else []
+        big = ((q << k) + r for q in spans for r in survivors)
         n_big = len(spans) * table.survivors.size
     starts = chain(unresolved.tolist(), big)
     return int(checked) + n_big, int(unresolved.size) + n_big, _exact_recheck(
@@ -277,30 +279,31 @@ def _worker_run(chunk, lo, hi, max_jumps, recheck_steps):
 def _exact_recheck(table: SieveTable, starts, lo: int, max_steps: int) -> list[tuple[int, str]]:
     """Follow each start exactly with Python integers; (n, reason) of those left open.
 
-    A start resolves when an iterate at a jump boundary, x after 0, k,
-    2k, ... steps, is <= 2 or below lo; it gets ceil(max_steps / k)
+    A start n resolves when an iterate at a jump boundary, x after 0,
+    k, 2k, ... steps, is below max(n, 3); it gets ceil(max_steps / k)
     jumps x -> 3^c(r) * (x div 2^k) + s(r), r = x mod 2^k.  This is the
     rule verify_span applies, and it is sound: the table identity holds
     exactly for every q >= 0, so each boundary value is a true iterate
-    of the start, and one below lo (or <= 2) means the start reaches
-    a verified start (or the 1-2 loop).  The boundaries tested are
+    of the start, and one below n (or <= 2) means the start reaches a
+    smaller start, which verify_range's induction covers (or the 1-2
+    loop); lo <= n does not move the stop.  The boundaries tested are
     among the first max_steps steps, the ones a one-step walk with the
     same budget tests, so a start resolved here resolves under that
     walk too.  The converse can fail only through the budget: for a
     start the walk resolves after more than max_steps - k steps, or
-    one whose orbit dips below lo and is back above it at every
+    one whose orbit dips below itself and is back above it at every
     boundary until the jumps run out.
     """
     k = table.k
     mask = (1 << k) - 1
     c, s = memoryview(table.c), memoryview(table.s)
     pow3 = [3**i for i in range(k + 1)]
-    floor = max(lo, 3)  # x <= 2 or x < lo
     jumps = range(-(-max_steps // k))
     reason = "no-descent-within-%d-steps" % max_steps
     left_open = []
     for n in starts:
         x = n
+        floor = n if n > 2 else 3  # x < n, or x <= 2 for starts 1 and 2
         for _ in jumps:
             if x < floor:
                 break
@@ -405,7 +408,7 @@ def verify_range(
     on_progress=None,
     table: SieveTable | None = None,
 ) -> VerificationReport:
-    """Check that every start in [lo, hi] descends below lo or reaches 1.
+    """Check that every start in [lo, hi] falls below itself, hence reaches 1.
 
     Survivor classes and the dense edges are followed with k-step
     jumps; certified classes are skipped outright; anything the int64
@@ -413,21 +416,23 @@ def verify_range(
     exactly with big integers, by _exact_recheck in the process that
     ran the chunk.
 
-    Descent is tested only at jump boundaries, after 0, k, 2k, ...
-    steps, in dense chunks too, and that is sound: the table identity
-    T^k(q * 2^k + r) = 3^c(r) * q + s(r) is exact for every q >= 0,
-    so every value seen at a boundary is a true iterate of the start.
-    One that is <= 2 has reached the 1-2 loop; one below lo has
-    reached [1, lo), which is taken as verified.  Certified classes
-    fall below themselves rather than below lo, and strong induction
-    over [lo, hi] on top of [1, lo) covers them.  So when no
-    counterexample is listed, every start of [lo, hi] reaches 1, given
-    that every start of [1, lo) does.  Testing only boundaries can miss
-    an earlier dip, which costs jumps but never soundness, and changes
-    an outcome only through the budgets: max_jumps hands a start on to
-    the exact recheck, whose ceil(recheck_steps / k) jumps can differ
-    from a recheck_steps-step walk only for a start that needs about
-    recheck_steps steps (_exact_recheck says exactly when).
+    The argument is strong induction over [lo, hi], with [1, lo) taken
+    as verified.  Each start n falls to some x < n (a certified class by
+    its certificate, a followed start at a jump boundary; starts 1 and
+    2 stop at x <= 2, the 1-2 loop).  Then either x < lo, which is
+    assumed verified, or x is in [lo, n), covered by induction.  Descent
+    is tested only at jump boundaries, after 0, k, 2k, ... steps, and
+    that is sound: T^k(q * 2^k + r) = 3^c(r) * q + s(r) is exact for
+    every q >= 0, so every value seen at a boundary is a true iterate
+    of the start.  Testing only boundaries can miss an earlier dip,
+    which costs jumps but never soundness, and changes an outcome only
+    through the budgets: max_jumps hands a start on to the exact
+    recheck, whose ceil(recheck_steps / k) jumps can differ from a
+    recheck_steps-step walk only for a start that needs about
+    recheck_steps steps (_exact_recheck says exactly when).  So a listed
+    counterexample did not fall below itself within the budgets, and
+    every start not listed reaches [1, lo), the 1-2 loop or the orbit
+    of a listed start; with none listed, all of [lo, hi] reaches 1.
 
     A checkpoint file, when given, is rewritten atomically after every
     chunk so an interrupted run resumes where it stopped and still

@@ -65,12 +65,12 @@ def scan_sigma_peak(hi, max_steps, ovf=_OVF):
     return sigma, peak1
 
 
-def _jumps_down(n, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
-    """Whether start n jumps to an iterate <= 2 or below lo, inside int64 and the budget."""
+def _jumps_down(n, k, c_tab, s_tab, pow3, qmax, max_jumps):
+    """Whether start n jumps below max(n, 3), inside int64 and the budget."""
     mask = (1 << k) - 1
     x = n
     for _ in range(max_jumps):
-        if x <= 2 or x < lo:
+        if x < max(n, 3):
             return True
         q = x >> k
         r = x & mask
@@ -91,7 +91,7 @@ def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jump
             if n < lo or n > hi:
                 continue
             checked += 1
-            if not _jumps_down(n, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
+            if not _jumps_down(n, k, c_tab, s_tab, pow3, qmax, max_jumps):
                 unresolved.append(n)
     return checked, np.array(unresolved, np.int64)
 
@@ -99,7 +99,7 @@ def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jump
 def verify_dense(n0, n1, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
     starts = range(n0, n1 + 1)
     unresolved = [n for n in starts
-                  if not _jumps_down(n, k, lo, c_tab, s_tab, pow3, qmax, max_jumps)]
+                  if not _jumps_down(n, k, c_tab, s_tab, pow3, qmax, max_jumps)]
     return len(starts), np.array(unresolved, np.int64)
 
 
@@ -138,11 +138,14 @@ def build_table(k):
     return SieveTable(k, c_small, x, dropped_at, survivors, pow3, qmax, rescued)
 
 
-def exact_recheck(n, lo, max_steps):
-    """Follow one start a single halved step at a time; None once it resolves."""
+def exact_recheck(n, lo, max_steps, every=1):
+    """Follow one start a single halved step at a time; None once it is below max(n, 3).
+
+    The test runs after every `every`-th step only, from step 0 on.
+    """
     x = n
-    for _ in range(max_steps):
-        if x <= 2 or x < lo:
+    for t in range(max_steps):
+        if t % every == 0 and x < max(n, 3):
             return None
         x = (3 * x + 1) >> 1 if x & 1 else x >> 1
     return "no-descent-within-%d-steps" % max_steps

@@ -136,15 +136,16 @@ class TestExactRecheck:
     )
     def test_resolves_exactly_when_a_jump_boundary_descends(self, k, n, lo, back, max_steps):
         # The jump walk tests x after 0, k, 2k, ... steps, ceil(max_steps / k)
-        # times.  Whatever it resolves must reach an iterate below lo or
-        # <= 2 under plain t_step, within max_steps steps.
+        # times.  Whatever it resolves must reach an iterate below
+        # max(n, 3) under plain t_step, within max_steps steps; lo does
+        # not move the stop.
         if back is not None:
             lo = max(1, n - back)
         got = sieve._exact_recheck(_RECHECK_TABLES[k], [n], lo, max_steps)
         x = n
         boundary_hit = False
         for _ in range(-(-max_steps // k)):
-            if x <= 2 or x < lo:
+            if x < max(n, 3):
                 boundary_hit = True
                 break
             x = t_iter(x, k)
@@ -171,10 +172,10 @@ class TestExactRecheck:
 
 
 def _step_walker_recheck(table, starts, lo, max_steps):
-    """The recheck as a one-step walk, from the reference loops."""
+    """The recheck as a one-step walk tested at the jump boundaries, from the reference loops."""
     out = []
     for n in starts:
-        reason = ref.exact_recheck(n, lo, max_steps)
+        reason = ref.exact_recheck(n, lo, max_steps, every=table.k)
         if reason is not None:
             out.append((n, reason))
     return out
@@ -188,9 +189,11 @@ def _fields(report):
 
 class TestForcedRecheck:
     # Case 1 has small budgets.  With recheck_steps = 1 (mod k) the last
-    # jump boundary is the last step the one-step walk tests, and at
-    # lo = 1 an iterate <= 2 stays <= 2, so both walks resolve exactly
-    # the same starts.  Near 2^62 the int64 guard hands starts back.
+    # jump boundary is the last step the one-step walk reaches.  Falling
+    # below the start is not absorbing (2463 is below itself at steps
+    # 21-27 and 54, and above it at every multiple of 16 up to 96), so
+    # the walker tests the same boundaries as the jumps.  Near 2^62 the
+    # int64 guard hands starts back.
     CASES = [
         dict(lo=1, hi=2 * 10**5, k=16, max_jumps=1),
         dict(lo=1, hi=2 * 10**5, k=16, max_jumps=1, recheck_steps=16 * 6 + 1),
@@ -261,6 +264,16 @@ class TestAboveInt64:
         assert doc["counterexamples"] == []
 
 
+def _open_at_boundaries(n, floor, k, boundaries):
+    """Whether a plain t_step walk from n is >= floor at each of its first jump boundaries."""
+    x = n
+    for _ in range(boundaries):
+        if x < floor:
+            return False
+        x = t_iter(x, k)
+    return True
+
+
 class TestDenseWindows:
     @settings(max_examples=40, deadline=None)
     @given(
@@ -277,8 +290,8 @@ class TestDenseWindows:
         # start is dense, in one chunk that verify_range runs in process
         # for either worker count.  The kernel tests the first max_jumps jump
         # boundaries and the recheck the first ceil(recheck_steps / k);
-        # below 2^21 no orbit nears the int64 guard, so a start is left
-        # open exactly when a plain t_step walk is above lo and above 2
+        # below 2^21 no orbit nears the int64 guard, so a start n is left
+        # open exactly when a plain t_step walk is at or above max(n, 3)
         # at every one of the first max(max_jumps, ceil(recheck_steps / k))
         # boundaries.
         hi = lo + min(length, (1 << k) - 2)
@@ -287,17 +300,59 @@ class TestDenseWindows:
                               recheck_steps=recheck_steps)
         boundaries = max(max_jumps, -(-recheck_steps // k))
         reason = "no-descent-within-%d-steps" % recheck_steps
-        want = []
-        for n in range(lo, hi + 1):
-            x = n
-            for _ in range(boundaries):
-                if x <= 2 or x < lo:
-                    break
-                x = t_iter(x, k)
-            else:
-                want.append((n, reason))
+        want = [(n, reason) for n in range(lo, hi + 1)
+                if _open_at_boundaries(n, max(n, 3), k, boundaries)]
         assert report.checked_dense == hi - lo + 1
         assert list(report.counterexamples) == want
+
+
+class TestSurvivorWindows:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.sampled_from([4, 7, 10, 12]),
+        spans=st.integers(1, 3),
+        tail=st.integers(0, 1 << 10),
+        lo=st.integers(1, 1 << 20),
+        top=st.booleans(),
+        cut=st.integers(0, 1 << 16),
+        max_jumps=st.integers(0, 12),
+        recheck_steps=st.integers(0, 150),
+        workers=st.sampled_from([1, 2]),
+        spans_per_chunk=st.sampled_from([1, 256]),
+    )
+    def test_verdicts_match_a_plain_descent(self, k, spans, tail, lo, top, cut, max_jumps,
+                                            recheck_steps, workers, spans_per_chunk):
+        # A window of at least 2^(k+1) - 1 starts holds a whole survivor
+        # span, so both kernels, the pool and the recheck all run.  Low
+        # windows never near the int64 guard, so a start n is open
+        # exactly when a plain t_step walk is at or above max(n, 3) at
+        # each of its first max(max_jumps, ceil(recheck_steps / k)) jump
+        # boundaries.  Windows across 2^63 send every start above it
+        # straight to the recheck, and the kernel may hand a start below
+        # it back at any boundary; with max_jumps no larger than the
+        # recheck's ceil(recheck_steps / k) jumps, the recheck's
+        # boundaries are then the ones that decide.
+        length = ((spans + 1) << k) + tail % (1 << k)
+        if top:
+            lo = 2**63 - 1 - cut % (length - 1)
+        hi = lo + length - 1
+        jumps = -(-recheck_steps // k)
+        if top:
+            max_jumps = min(max_jumps, jumps)
+        report = verify_range(lo, hi, k=k, workers=workers, max_jumps=max_jumps,
+                              recheck_steps=recheck_steps, spans_per_chunk=spans_per_chunk)
+        boundaries = max(max_jumps, jumps)
+        reason = "no-descent-within-%d-steps" % recheck_steps
+        planned = list(_planned_starts(lo, hi, k))
+        want = [(n, reason) for n in planned
+                if _open_at_boundaries(n, max(n, 3), k, boundaries)]
+        assert report.checked_survivors > 0
+        assert report.checked_dense + report.checked_survivors == len(planned)
+        assert list(report.counterexamples) == want
+        # The old floor, below max(lo, 3), stops no lane the new one does not.
+        old = [(n, reason) for n in planned
+               if _open_at_boundaries(n, max(lo, 3), k, boundaries)]
+        assert set(report.counterexamples) <= set(old)
 
 
 class TestParityBijection:
