@@ -13,6 +13,9 @@ plain one-start-at-a-time loop, applied per lane:
   jump, an iterate above its class's guard for a map table);
 - out of budget: the lane used up its ``max_jumps`` / ``max_steps``.
 
+verify_span and verify_dense jump with one sieve.SieveTable (k, c, s,
+pow3, qmax, survivors) and take no floor: no range bound moves a stop.
+
 dip is the one kernel behind two callers.  scan_sigma_peak runs it for
 T with floor 1 and step cap max_steps, and adds each start's walk to
 the totals of the smaller start it dipped to.  trajectory.cycle_census
@@ -235,16 +238,17 @@ def _scan_block(sigma, peak1, a, b, table, max_steps):
         peak1[a + lanes] = np.where(good, np.maximum(peak.take(lanes), peak1.take(tgt)), -2)
 
 
-def _jump_block(n, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved):
+def _jump_block(n, table, max_jumps, unresolved):
     """Jump every int64 start in n until it is below max(n, 3); append the rest to unresolved.
 
-    Each jump applies T^k(q * 2^k + r) = 3^c(r) * q + s(r), which is
-    exact for every q >= 0.  A start is handed back when its next jump
-    could leave int64 (q > qmax[c]) or its max_jumps jumps run out; the
-    last jump's result is never tested.
+    Each jump applies the table's T^k(q * 2^k + r) = 3^c(r) * q + s(r),
+    which is exact for every q >= 0.  A start is handed back when its
+    next jump could leave int64 (q > qmax[c]) or its max_jumps jumps run
+    out; the last jump's result is never tested.
     """
+    k = table.k
     mask = (1 << k) - 1
-    q_safe = int(qmax.min())  # no lane with q <= q_safe can overflow
+    q_safe = int(table.qmax.min())  # no lane with q <= q_safe can overflow
     if max_jumps and n.size and n.min() < 3:
         n = n[n >= 3]  # 1 and 2 are <= 2 before any jump
     x = n
@@ -258,51 +262,49 @@ def _jump_block(n, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved):
             break
         q = x >> k
         r = x & mask
-        c = c_tab.take(r)
+        c = table.c.take(r)
         if q.max() > q_safe:
-            over = q > qmax.take(c)
+            over = q > table.qmax.take(c)
             if over.any():
                 unresolved.append(n[over])
                 keep = np.flatnonzero(~over)
                 n, q, r, c = n.take(keep), q.take(keep), r.take(keep), c.take(keep)
-        x = pow3.take(c)
+        x = table.pow3.take(c)
         x *= q
-        x += s_tab.take(r)
+        x += table.s.take(r)
     unresolved.append(n)
 
 
-def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jumps):
+def verify_span(b0, b1, table, max_jumps):
     """Jump every surviving residue in blocks [b0, b1) until it falls below itself.
 
-    Block b covers [b * 2^k, (b+1) * 2^k), with b1 <= 2^(63-k); only
-    starts inside [lo, hi] count.  A start n resolves at the first jump
-    boundary whose iterate is below max(n, 3).  Starts that exhaust
-    max_jumps or would overflow int64 are returned, in ascending order,
-    for exact re-checking.
+    Block b covers [b * 2^k, (b+1) * 2^k) of the table's width k, with
+    b1 <= 2^(63-k).  A start n resolves at the first jump boundary whose
+    iterate is below max(n, 3).  Returns the number of starts jumped and
+    those that exhaust max_jumps or would overflow int64, in ascending
+    order, for exact re-checking.
     """
-    width = survivors.size
+    width = table.survivors.size
     total = (b1 - b0) * width
     checked = 0
     unresolved = []
     for f0 in range(0, total, VERIFY_LANES):
         flat = np.arange(f0, min(f0 + VERIFY_LANES, total), dtype=np.int64)
-        n = ((flat // width + b0) << k) + survivors[flat % width]
-        if n[0] < lo or n[-1] > hi:
-            n = n[(n >= lo) & (n <= hi)]
+        n = ((flat // width + b0) << table.k) + table.survivors[flat % width]
         checked += n.size
-        _jump_block(n, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved)
+        _jump_block(n, table, max_jumps, unresolved)
     return checked, _ascending(unresolved)
 
 
-def verify_dense(n0, n1, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
+def verify_dense(n0, n1, table, max_jumps):
     """Every start of [n0, n1], n1 < 2^63, jumped like verify_span's survivors.
 
-    Success means falling below the start (or <= 2, for starts 1 and 2);
-    lo <= n0, the run's floor, does not move the stop.  Starts that
-    exhaust max_jumps or would overflow int64 are returned, ascending.
+    Success means falling below the start (or <= 2, for starts 1 and 2).
+    Starts that exhaust max_jumps or would overflow int64 are returned,
+    ascending.
     """
     unresolved = []
     for a in range(n0, n1 + 1, VERIFY_LANES):
         n = np.arange(a, min(a + VERIFY_LANES, n1 + 1), dtype=np.int64)
-        _jump_block(n, k, c_tab, s_tab, pow3, qmax, max_jumps, unresolved)
+        _jump_block(n, table, max_jumps, unresolved)
     return max(n1 + 1 - n0, 0), _ascending(unresolved)

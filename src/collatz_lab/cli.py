@@ -326,7 +326,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="hi", type=parse_natural, required=True,
                    help="last start to check")
     p.add_argument("--sieve-k", dest="k", type=int, default=16, help="jump-table width")
-    p.add_argument("--workers", type=int, default=None, help="processes (default $COLLATZ_LAB_THREADS or 1)")
+    p.add_argument("--workers", type=int, default=1, help="worker processes (default 1)")
     p.add_argument("--checkpoint", default=None, help="checkpoint file for resume")
     p.add_argument("--spans-per-chunk", type=int, default=256)
     p.add_argument("--progress", action="store_true")

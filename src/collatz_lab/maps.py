@@ -13,8 +13,6 @@ import re
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
-Natural = int
-
 # fixed 38-digit base used by the reference tables: 100 * floor(pi * 10^35)
 TABLE_BASE = 31415926535897932384626433832795028800
 

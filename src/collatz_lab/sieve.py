@@ -27,7 +27,6 @@ from . import _kernels
 
 INT64_MAX = np.iinfo(np.int64).max
 MAX_TABLE_K = 24
-THREADS_ENV = "COLLATZ_LAB_THREADS"
 
 
 @dataclass(frozen=True, eq=False)
@@ -210,7 +209,8 @@ def _plan_chunks(lo: int, hi: int, k: int, spans_per_chunk: int):
 
     Spans [q * 2^k, (q+1) * 2^k) are included only when fully inside
     [lo, hi], so every span chunk checks exactly spans * survivors
-    starts; the ragged edges become dense pieces.
+    starts and verify_span needs no window; the ragged edges become
+    dense pieces.
     """
     width = 1 << k
     q0 = max(1, -(-lo // width))
@@ -236,30 +236,29 @@ def _chunk_checked(table: SieveTable, chunk) -> tuple[int, int]:
     return 0, (b - a) * int(table.survivors.size)
 
 
-def _run_chunk(table: SieveTable, chunk, lo: int, hi: int, max_jumps: int, recheck_steps: int):
+def _run_chunk(table: SieveTable, chunk, max_jumps: int, recheck_steps: int):
     """(checked, rechecked, counterexamples) of one chunk, rechecks included.
 
     Starts >= 2^63, a span boundary for every k <= MAX_TABLE_K, do not
-    fit an int64 lane and go straight to the exact recheck.
+    fit an int64 lane and go straight to the exact recheck.  Kernel
+    calls stay positional, for wrappers that take *args only.
     """
     kind, a, b = chunk
     k = table.k
-    jumps = (table.c, table.s, table.pow3, table.qmax, max_jumps)
     if kind == "dense":
-        checked, unresolved = _kernels.verify_dense(a, min(b, INT64_MAX), k, lo, *jumps)
+        checked, unresolved = _kernels.verify_dense(a, min(b, INT64_MAX), table, max_jumps)
         big = range(max(a, INT64_MAX + 1), b + 1)
         n_big = len(big)
     else:
         cut = (INT64_MAX + 1) >> k
-        checked, unresolved = _kernels.verify_span(
-            a, min(b, cut), k, lo, hi, table.survivors, *jumps)
+        checked, unresolved = _kernels.verify_span(a, min(b, cut), table, max_jumps)
         spans = range(max(a, cut), b)
         survivors = table.survivors.tolist() if spans else []
         big = ((q << k) + r for q in spans for r in survivors)
         n_big = len(spans) * table.survivors.size
     starts = chain(unresolved.tolist(), big)
     return int(checked) + n_big, int(unresolved.size) + n_big, _exact_recheck(
-        table, starts, lo, recheck_steps)
+        table, starts, recheck_steps)
 
 
 _WORKER_TABLE: SieveTable | None = None
@@ -272,11 +271,11 @@ def _worker_init(table: SieveTable) -> None:
     _WORKER_TABLE = table
 
 
-def _worker_run(chunk, lo, hi, max_jumps, recheck_steps):
-    return _run_chunk(_WORKER_TABLE, chunk, lo, hi, max_jumps, recheck_steps)
+def _worker_run(chunk, max_jumps, recheck_steps):
+    return _run_chunk(_WORKER_TABLE, chunk, max_jumps, recheck_steps)
 
 
-def _exact_recheck(table: SieveTable, starts, lo: int, max_steps: int) -> list[tuple[int, str]]:
+def _exact_recheck(table: SieveTable, starts, max_steps: int) -> list[tuple[int, str]]:
     """Follow each start exactly with Python integers; (n, reason) of those left open.
 
     A start n resolves when an iterate at a jump boundary, x after 0,
@@ -286,13 +285,12 @@ def _exact_recheck(table: SieveTable, starts, lo: int, max_steps: int) -> list[t
     exactly for every q >= 0, so each boundary value is a true iterate
     of the start, and one below n (or <= 2) means the start reaches a
     smaller start, which verify_range's induction covers (or the 1-2
-    loop); lo <= n does not move the stop.  The boundaries tested are
-    among the first max_steps steps, the ones a one-step walk with the
-    same budget tests, so a start resolved here resolves under that
-    walk too.  The converse can fail only through the budget: for a
-    start the walk resolves after more than max_steps - k steps, or
-    one whose orbit dips below itself and is back above it at every
-    boundary until the jumps run out.
+    loop).  The boundaries tested are among the first max_steps steps,
+    the ones a one-step walk with the same budget tests, so a start
+    resolved here resolves under that walk too.  The converse can fail
+    only through the budget: for a start the walk resolves after more
+    than max_steps - k steps, or one whose orbit dips below itself and
+    is back above it at every boundary until the jumps run out.
     """
     k = table.k
     mask = (1 << k) - 1
@@ -363,7 +361,7 @@ def _read_checkpoint(path, k, lo, hi, spans_per_chunk):
     return nxt, cex
 
 
-def _run_pool(table, chunks, pending, lo, hi, max_jumps, recheck_steps, workers, commit):
+def _run_pool(table, chunks, pending, max_jumps, recheck_steps, workers, commit):
     """Run chunks on a process pool and commit their results in plan order.
 
     At most 2 * workers chunks are in flight ahead of the commit point;
@@ -380,7 +378,7 @@ def _run_pool(table, chunks, pending, lo, hi, max_jumps, recheck_steps, workers,
         def submit():
             i = next(todo, None)
             if i is not None:
-                fut = pool.submit(_worker_run, chunks[i], lo, hi, max_jumps, recheck_steps)
+                fut = pool.submit(_worker_run, chunks[i], max_jumps, recheck_steps)
                 inflight.append((i, fut))
 
         try:
@@ -400,7 +398,7 @@ def verify_range(
     lo: int,
     hi: int,
     k: int = 16,
-    workers: int | None = None,
+    workers: int = 1,
     checkpoint_path=None,
     spans_per_chunk: int = 256,
     max_jumps: int = 10_000,
@@ -444,8 +442,6 @@ def verify_range(
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi, got [%r, %r]" % (lo, hi))
-    if workers is None:
-        workers = int(os.environ.get(THREADS_ENV, "1") or "1")
     if workers < 1:
         raise ValueError("workers must be >= 1, got %r" % (workers,))
     if spans_per_chunk < 1:
@@ -486,11 +482,9 @@ def verify_range(
     pending = list(range(start_chunk, len(chunks)))
     if workers == 1 or len(pending) <= 1:
         for i in pending:
-            commit(i, *_run_chunk(table, chunks[i], lo, hi, max_jumps, recheck_steps))
+            commit(i, *_run_chunk(table, chunks[i], max_jumps, recheck_steps))
     else:
-        _run_pool(table, chunks, pending, lo, hi, max_jumps, recheck_steps, workers, commit)
-    if checkpoint_path is not None:
-        _write_checkpoint(checkpoint_path, k, lo, hi, spans_per_chunk, len(chunks), cex)
+        _run_pool(table, chunks, pending, max_jumps, recheck_steps, workers, commit)
     total = hi - lo + 1
     return VerificationReport(
         lo=lo,

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
+from .maps import TABLE_BASE
+
 
 def log_nat(n: int) -> float:
     """Natural log of a positive integer of any size.
@@ -46,7 +48,7 @@ def parse_natural(text: str) -> int:
     """
     s = text.strip().replace(",", "").replace("_", "")
     if s == "100*floor(pi*1e35)":
-        return 31415926535897932384626433832795028800
+        return TABLE_BASE
     low = s.lower()
     if "e" in low:
         head, _, exp = low.partition("e")

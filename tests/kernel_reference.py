@@ -65,8 +65,9 @@ def scan_sigma_peak(hi, max_steps, ovf=_OVF):
     return sigma, peak1
 
 
-def _jumps_down(n, k, c_tab, s_tab, pow3, qmax, max_jumps):
+def _jumps_down(n, table, max_jumps):
     """Whether start n jumps below max(n, 3), inside int64 and the budget."""
+    k = table.k
     mask = (1 << k) - 1
     x = n
     for _ in range(max_jumps):
@@ -74,32 +75,29 @@ def _jumps_down(n, k, c_tab, s_tab, pow3, qmax, max_jumps):
             return True
         q = x >> k
         r = x & mask
-        cc = int(c_tab[r])
-        if q > qmax[cc]:
+        cc = int(table.c[r])
+        if q > table.qmax[cc]:
             return False
-        x = int(pow3[cc]) * q + int(s_tab[r])
+        x = int(table.pow3[cc]) * q + int(table.s[r])
     return False
 
 
-def verify_span(b0, b1, k, lo, hi, survivors, c_tab, s_tab, pow3, qmax, max_jumps):
+def verify_span(b0, b1, table, max_jumps):
     unresolved = []
     checked = 0
     for b in range(b0, b1):
-        base = b << k
-        for i in range(survivors.size):
-            n = base + int(survivors[i])
-            if n < lo or n > hi:
-                continue
+        base = b << table.k
+        for i in range(table.survivors.size):
+            n = base + int(table.survivors[i])
             checked += 1
-            if not _jumps_down(n, k, c_tab, s_tab, pow3, qmax, max_jumps):
+            if not _jumps_down(n, table, max_jumps):
                 unresolved.append(n)
     return checked, np.array(unresolved, np.int64)
 
 
-def verify_dense(n0, n1, k, lo, c_tab, s_tab, pow3, qmax, max_jumps):
+def verify_dense(n0, n1, table, max_jumps):
     starts = range(n0, n1 + 1)
-    unresolved = [n for n in starts
-                  if not _jumps_down(n, k, c_tab, s_tab, pow3, qmax, max_jumps)]
+    unresolved = [n for n in starts if not _jumps_down(n, table, max_jumps)]
     return len(starts), np.array(unresolved, np.int64)
 
 
@@ -138,7 +136,7 @@ def build_table(k):
     return SieveTable(k, c_small, x, dropped_at, survivors, pow3, qmax, rescued)
 
 
-def exact_recheck(n, lo, max_steps, every=1):
+def exact_recheck(n, max_steps, every=1):
     """Follow one start a single halved step at a time; None once it is below max(n, 3).
 
     The test runs after every `every`-th step only, from step 0 on.

@@ -5,20 +5,23 @@ probe counts the starts that _kernels.verify_span and
 _kernels.verify_dense report.  A renamed or deleted function fails
 every benchmark round with an AttributeError, so the tracer is
 installed here over the same module dict that perfbench/workload.py
-builds.
+builds.  The probe wraps both kernels in functions that take positional
+arguments only, so it is run here too: a keyword call into a kernel
+would fail it.
 """
 
 import importlib.util
 import os
+import sys
 
 from collatz_lab import _kernels, affine_sets, cli, model, render, sieve, stats, tag
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def _tracing():
-    path = os.path.join(ROOT, "perfbench", "tracing.py")
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+def _load(name):
+    path = os.path.join(ROOT, "perfbench", name + ".py")
+    spec = importlib.util.spec_from_file_location("perfbench_" + name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -28,11 +31,28 @@ def test_tracer_installs_over_the_package(tmp_path):
     modules = {"cli": cli, "render": render, "sieve": sieve, "_kernels": _kernels,
                "stats": stats, "model": model, "tag": tag, "affine_sets": affine_sets}
     plain = {name: getattr(_kernels, name) for name in ("verify_span", "verify_dense")}
-    tracer = _tracing().Tracer(str(tmp_path))
+    tracer = _load("tracing").Tracer(str(tmp_path))
     tracer.install(modules)
     try:
         assert _kernels.verify_span is not plain["verify_span"]
     finally:
         assert tracer.uninstall() == []
+    for name, fn in plain.items():
+        assert getattr(_kernels, name) is fn
+
+
+def test_plan_probe_is_rejected(tmp_path, monkeypatch):
+    # run.py puts perfbench/ on sys.path and imports its helpers by
+    # their plain names; both are undone after the test.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    helpers = [name for name in ("checks", "reference", "tracing") if name not in sys.modules]
+    plain = {name: getattr(_kernels, name) for name in ("verify_span", "verify_dense")}
+    try:
+        run = _load("run")
+        ops = _load("workload").Ops({"probe": run.PROBE}, str(tmp_path))
+        assert ops.plan_probe() == {"outcome": "rejected"}
+    finally:
+        for name in helpers:
+            sys.modules.pop(name, None)
     for name, fn in plain.items():
         assert getattr(_kernels, name) is fn

@@ -221,6 +221,14 @@ class TestVerify:
         assert fresh.splitlines()[:-2] == plain.splitlines()[:-2]
         assert all(" starts/s, ETA " in line for line in err.splitlines())
 
+    def test_workers_default_to_one_whatever_the_environment(self, capsys, monkeypatch):
+        # --workers is the only way to ask for more processes.
+        monkeypatch.setenv("COLLATZ_LAB_THREADS", "2")
+        code, out, _ = run_cli(capsys, "verify", "--from", "1", "--to", "1e5",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["workers"] == 1
+
     @pytest.mark.parametrize("spans", ["0", "-1"])
     def test_spans_per_chunk_below_one_is_input_error(self, capsys, spans):
         code, out, err = run_cli(capsys, "verify", "--from", "1", "--to", "1e6",

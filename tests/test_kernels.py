@@ -8,6 +8,8 @@ per-lane stopping rule (resolution, the int64 handback, the step or
 jump budget) and to straddle the LANES block boundary.
 """
 
+import dataclasses
+
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -26,10 +28,13 @@ def _table(k):
     return _TABLES[k]
 
 
-def _span_args(k, b0, b1, lo, hi, max_jumps, qmax=None):
+def _with_qmax(k, qmax):
     t = _table(k)
-    return (b0, b1, k, lo, hi, t.survivors, t.c, t.s, t.pow3,
-            t.qmax if qmax is None else qmax, max_jumps)
+    return t if qmax is None else dataclasses.replace(t, qmax=qmax)
+
+
+def _span_args(k, b0, b1, max_jumps, qmax=None):
+    return (b0, b1, _with_qmax(k, qmax), max_jumps)
 
 
 def _same_span(*args):
@@ -41,9 +46,8 @@ def _same_span(*args):
     return got
 
 
-def _dense_args(k, n0, n1, lo, max_jumps, qmax=None):
-    t = _table(k)
-    return (n0, n1, k, lo, t.c, t.s, t.pow3, t.qmax if qmax is None else qmax, max_jumps)
+def _dense_args(k, n0, n1, max_jumps, qmax=None):
+    return (n0, n1, _with_qmax(k, qmax), max_jumps)
 
 
 def _same_dense(*args):
@@ -107,37 +111,37 @@ def test_scan_sigma_peak_int64_guard(monkeypatch):
 
 
 def test_verify_dense_matches_reference():
-    checked, unresolved = _same_dense(*_dense_args(12, 1, 4096, 1, 10_000))
+    checked, unresolved = _same_dense(*_dense_args(12, 1, 4096, 10_000))
     assert checked == 4096
     assert unresolved.size == 0
 
 
 def test_verify_dense_budgets_and_windows():
-    for n0, n1, lo in ((1, 3000, 1), (500, 2500, 500), (900, 1000, 1), (7, 7, 3)):
+    for n0, n1 in ((1, 3000), (500, 2500), (900, 1000), (7, 7)):
         for k in (1, 8, 12):
             for max_jumps in (0, 1, 2, 5, 30):
-                _same_dense(*_dense_args(k, n0, n1, lo, max_jumps))
+                _same_dense(*_dense_args(k, n0, n1, max_jumps))
 
 
 def test_verify_dense_across_lane_blocks():
     lo = 10**6
-    _same_dense(*_dense_args(8, lo, lo + LANES + 77, lo, 10_000))
-    _same_dense(*_dense_args(8, lo, lo + LANES + 77, lo, 3))
+    _same_dense(*_dense_args(8, lo, lo + LANES + 77, 10_000))
+    _same_dense(*_dense_args(8, lo, lo + LANES + 77, 3))
 
 
 def test_verify_dense_int64_guard():
     # A lowered qmax makes the handback reachable at small starts, and
     # the top of int64 reaches the real one.
     qmax = _table(8).qmax // (1 << 48)
-    checked, unresolved = _same_dense(*_dense_args(8, 1, 3000, 1, 10_000, qmax))
+    checked, unresolved = _same_dense(*_dense_args(8, 1, 3000, 10_000, qmax))
     assert 0 < unresolved.size < checked
     top = 2**63 - 1
-    checked, unresolved = _same_dense(*_dense_args(12, top - 300, top, top - 300, 10_000))
+    checked, unresolved = _same_dense(*_dense_args(12, top - 300, top, 10_000))
     assert 0 < unresolved.size < checked == 301
 
 
 def test_verify_span_matches_reference():
-    checked, unresolved = _same_span(*_span_args(8, 1, 64, 1, 64 << 8, 10_000))
+    checked, unresolved = _same_span(*_span_args(8, 1, 64, 10_000))
     assert checked == 63 * _table(8).survivors.size
     assert unresolved.size == 0
 
@@ -146,26 +150,28 @@ def test_verify_span_overflow_starts_are_handed_back_identically():
     # qmax forces the bail-out path; the kernel must bail on the same
     # starts as the scalar loop rather than wrap.
     big = int(_table(4).qmax[4])
-    checked, unresolved = _same_span(*_span_args(4, big, big + 1, 1, (big + 1) << 4, 5))
+    checked, unresolved = _same_span(*_span_args(4, big, big + 1, 5))
     assert unresolved.size > 0
 
 
 def test_verify_span_starved_budget():
     # max_jumps=1 allows only one jump, whose result is never tested.
     for max_jumps in (0, 1, 2):
-        _same_span(*_span_args(8, 1, 64, 1, 64 << 8, max_jumps))
+        _same_span(*_span_args(8, 1, 64, max_jumps))
 
 
 def test_verify_span_windows_above_one():
-    _same_span(*_span_args(8, 3, 70, 1000, 9000, 10_000))
-    _same_span(*_span_args(8, 3, 70, 300, 5000, 10_000))
-    _same_span(*_span_args(10, 5, 9, 5 << 10, 9 << 10, 10_000))
+    # the whole spans sieve._plan_chunks plans for [1000, 9000],
+    # [300, 5000] and [5 * 2^10, 9 * 2^10]
+    _same_span(*_span_args(8, 4, 35, 10_000))
+    _same_span(*_span_args(8, 2, 19, 10_000))
+    _same_span(*_span_args(10, 5, 9, 10_000))
 
 
 def test_verify_span_lowered_qmax_hands_back_mid_orbit():
     t = _table(8)
     qmax = t.qmax // (1 << 40)
-    checked, unresolved = _same_span(*_span_args(8, 1, 64, 1, 64 << 8, 10_000, qmax))
+    checked, unresolved = _same_span(*_span_args(8, 1, 64, 10_000, qmax))
     assert 0 < unresolved.size < checked
 
 
@@ -173,8 +179,7 @@ def test_verify_span_across_lane_blocks():
     width = int(_table(8).survivors.size)
     spans = LANES // width + 3
     b0 = 1 << 20
-    lo = b0 << 8
-    _same_span(*_span_args(8, b0, b0 + spans, lo, ((b0 + spans) << 8) - 1, 10_000))
+    _same_span(*_span_args(8, b0, b0 + spans, 10_000))
 
 
 @settings(max_examples=60, deadline=None)
@@ -182,17 +187,12 @@ def test_verify_span_across_lane_blocks():
     k=st.integers(1, 12),
     b0=st.integers(0, 1 << 30),
     nspans=st.integers(0, 6),
-    lo_off=st.integers(-(1 << 14), 1 << 14),
-    hi_off=st.integers(-(1 << 14), 1 << 14),
     max_jumps=st.integers(0, 40),
     qshift=st.integers(0, 50),
 )
-def test_verify_span_property(k, b0, nspans, lo_off, hi_off, max_jumps, qshift):
-    b1 = b0 + nspans
-    lo = max(1, (b0 << k) + lo_off)
-    hi = max(lo, (b1 << k) + hi_off)
+def test_verify_span_property(k, b0, nspans, max_jumps, qshift):
     qmax = _table(k).qmax >> qshift
-    _same_span(*_span_args(k, b0, b1, lo, hi, max_jumps, qmax))
+    _same_span(*_span_args(k, b0, b0 + nspans, max_jumps, qmax))
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,14 +200,13 @@ def test_verify_span_property(k, b0, nspans, lo_off, hi_off, max_jumps, qshift):
     k=st.integers(1, 12),
     n0=st.integers(1, 1 << 40) | st.integers(1, 2**63 - 1),
     length=st.integers(0, 400),
-    lo_back=st.integers(0, 1 << 12),
     max_jumps=st.integers(0, 40),
     qshift=st.integers(0, 50),
 )
-def test_verify_dense_property(k, n0, length, lo_back, max_jumps, qshift):
+def test_verify_dense_property(k, n0, length, max_jumps, qshift):
     n1 = min(n0 + length - 1, 2**63 - 1)
     qmax = _table(k).qmax >> qshift
-    _same_dense(*_dense_args(k, n0, n1, max(1, n0 - lo_back), max_jumps, qmax))
+    _same_dense(*_dense_args(k, n0, n1, max_jumps, qmax))
 
 
 _I64 = (-(2**63), 2**63 - 1)

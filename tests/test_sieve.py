@@ -130,18 +130,13 @@ class TestExactRecheck:
     @given(
         k=st.sampled_from(sorted(_RECHECK_TABLES)),
         n=st.one_of(st.integers(1, 1 << 20), st.integers(1, 1 << 90)),
-        lo=st.one_of(st.integers(1, 1 << 20), st.integers(1, 1 << 90)),
-        back=st.one_of(st.none(), st.integers(0, 1 << 12)),
         max_steps=st.integers(0, 400),
     )
-    def test_resolves_exactly_when_a_jump_boundary_descends(self, k, n, lo, back, max_steps):
+    def test_resolves_exactly_when_a_jump_boundary_descends(self, k, n, max_steps):
         # The jump walk tests x after 0, k, 2k, ... steps, ceil(max_steps / k)
         # times.  Whatever it resolves must reach an iterate below
-        # max(n, 3) under plain t_step, within max_steps steps; lo does
-        # not move the stop.
-        if back is not None:
-            lo = max(1, n - back)
-        got = sieve._exact_recheck(_RECHECK_TABLES[k], [n], lo, max_steps)
+        # max(n, 3) under plain t_step, within max_steps steps.
+        got = sieve._exact_recheck(_RECHECK_TABLES[k], [n], max_steps)
         x = n
         boundary_hit = False
         for _ in range(-(-max_steps // k)):
@@ -151,31 +146,31 @@ class TestExactRecheck:
             x = t_iter(x, k)
         assert (got == []) == boundary_hit
         if not got:
-            assert ref.exact_recheck(n, lo, max_steps) is None
+            assert ref.exact_recheck(n, max_steps) is None
         else:
             assert got == [(n, "no-descent-within-%d-steps" % max_steps)]
 
     def test_starts_above_int64_and_order_kept(self):
         table = _RECHECK_TABLES[12]
         starts = [(1 << 64) + 27, (1 << 70) - 1, 27, 3]
-        assert sieve._exact_recheck(table, starts, 1, 10**6) == []
+        assert sieve._exact_recheck(table, starts, 10**6) == []
         # One jump tests only the start itself, so even 3 (four steps
         # from 2) stays open, where a 12-step walk would resolve it.
-        assert sieve._exact_recheck(table, starts, 1, 12) == [
+        assert sieve._exact_recheck(table, starts, 12) == [
             (n, "no-descent-within-12-steps") for n in starts
         ]
-        assert sieve._exact_recheck(table, starts, 1, 13) == [
+        assert sieve._exact_recheck(table, starts, 13) == [
             ((1 << 64) + 27, "no-descent-within-13-steps"),
             ((1 << 70) - 1, "no-descent-within-13-steps"),
             (27, "no-descent-within-13-steps"),
         ]
 
 
-def _step_walker_recheck(table, starts, lo, max_steps):
+def _step_walker_recheck(table, starts, max_steps):
     """The recheck as a one-step walk tested at the jump boundaries, from the reference loops."""
     out = []
     for n in starts:
-        reason = ref.exact_recheck(n, lo, max_steps, every=table.k)
+        reason = ref.exact_recheck(n, max_steps, every=table.k)
         if reason is not None:
             out.append((n, reason))
     return out
@@ -239,10 +234,10 @@ class TestAboveInt64:
     def test_every_start_above_int64_is_rechecked(self, case, monkeypatch):
         seen = []
 
-        def recording(table, starts, lo, max_steps):
+        def recording(table, starts, max_steps):
             starts = list(starts)
             seen.extend(starts)
-            return _step_walker_recheck(table, starts, lo, max_steps)
+            return _step_walker_recheck(table, starts, max_steps)
 
         with monkeypatch.context() as m:
             m.setattr(sieve, "_exact_recheck", recording)
@@ -379,12 +374,26 @@ class TestPlanChunks:
         assert chunks[2] == ("dense", 15 << 16, 10**6)
 
     def test_chunks_cover_without_overlap(self):
-        width = 1 << 8
-        for lo, hi in [(1, 10**4), (300, 300), (256, 511), (255, 512)]:
-            chunks = _plan_chunks(lo, hi, 8, 2)
+        # Each chunk starts one past where the previous one ended, and
+        # every spans chunk lies wholly inside [lo, hi]: verify_span
+        # relies on that and applies no window of its own.
+        for lo, hi, k in [
+            (1, 10**4, 8), (300, 300, 8), (256, 511, 8), (255, 512, 8),
+            (1000, 9000, 8), ((5 << 10) + 7, 10**5, 10), ((1 << 20) + 1, 3 << 20, 16),
+            (2**63 - 2**12, 2**63 + 2**12 - 1, 12), (2**63 - 10, 2**63 + 10, 16),
+            (2**63 - 2**20 - 3, 2**63 + 2**21 + 5, 8),
+        ]:
+            chunks = _plan_chunks(lo, hi, k, 2)
             covered = 0
+            end = lo - 1
             for kind, a, b in chunks:
-                covered += (b - a + 1) if kind == "dense" else (b - a) * width
+                first, last = (a << k, (b << k) - 1) if kind == "spans" else (a, b)
+                assert first == end + 1
+                end = last
+                covered += last - first + 1
+                if kind == "spans":
+                    assert lo <= a << k and (b << k) - 1 <= hi
+            assert end == hi
             assert covered == hi - lo + 1
 
 
@@ -481,16 +490,19 @@ class TestVerifyRange:
 
 
 class TestCheckpoint:
-    def test_file_format_and_completion(self, tmp_path):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_file_format_and_completion(self, tmp_path, workers):
         path = tmp_path / "check.txt"
-        report = verify_range(1, 10**5, k=12, checkpoint_path=str(path))
+        report = verify_range(1, 10**5, k=12, workers=workers, checkpoint_path=str(path))
         head = path.read_text().splitlines()[0].split()
         assert head == ["v2", "12", "1", "100000", "256", str(report.chunks_total), "0"]
 
     def test_resume_of_finished_run_is_instant(self, tmp_path):
         path = tmp_path / "check.txt"
         first = verify_range(1, 10**5, k=12, checkpoint_path=str(path))
+        written = path.read_bytes()
         second = verify_range(1, 10**5, k=12, checkpoint_path=str(path))
+        assert path.read_bytes() == written
         assert second.chunks_done_before == second.chunks_total
         for field in ("checked_dense", "checked_survivors", "skipped",
                       "counterexamples", "chunks_total"):
