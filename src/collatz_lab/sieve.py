@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -34,11 +35,11 @@ class SieveTable:
     """Per-residue jump coefficients plus the drop certificates.
 
     c and s cover every residue, certified or not, because a followed
-    orbit can land anywhere mod 2^k.  dropped_at holds the first prefix
-    whose certificate was value-checked, -1 for survivors.  rescued
-    counts residues whose coefficient decayed at some prefix without
-    the value check ever passing; they stay survivors, keeping the
-    skip sound by construction.
+    orbit can land anywhere mod 2^k.  dropped_at holds the prefix j at
+    which the residue's class mod 2^j was certified, -1 for survivors.
+    rescued counts survivors whose coefficient decayed (3^c_j < 2^j) at
+    some prefix without the value check passing there; they stay
+    survivors, which keeps the skip sound by construction.
     """
 
     k: int
@@ -51,9 +52,9 @@ class SieveTable:
     rescued: int
 
 
-# Residues are certified in blocks of 2^_BLOCK_BITS; c and s of a block
-# come from composing the table of its low _BLOCK_BITS bits with the
-# table of the remaining width.
+# c and s are composed in blocks of 2^_BLOCK_BITS residues: those of a
+# block come from the table of its low _BLOCK_BITS bits composed with
+# the table of the remaining width.
 _BLOCK_BITS = 14
 
 
@@ -70,36 +71,59 @@ def _width_table(k: int) -> tuple[np.ndarray, np.ndarray]:
 def build_table(k: int) -> SieveTable:
     """The width-k jump table and the drop certificate of every residue.
 
-    Residues r = h * 2^b + l (b = min(k, 14) low bits) are handled one
+    Residues r = h * 2^b + l (b = min(k, 14) low bits) get c and s one
     block of fixed h at a time.  The jump coefficients compose exactly:
     T^b(r) = 3^c_b(l) * h + s_b(l), and that value goes through the
-    width-(k - b) table for the rest.  The certificate follows only the
-    block's live residues, one step at a time; at prefix j a residue's
-    class drops when 3^c_j(r) < 2^j and, with a = q * 2^(k-j) + r div 2^j
-    at its smallest (q = 1),
-    (2^j - 3^c_j) * a > T^j(r mod 2^j) - r mod 2^j,
-    i.e. every start of the class above the table width is below
-    itself after j steps.  T^j(r mod 2^j) = T^j(r) - 3^c_j * (r div 2^j)
-    by the same identity, so no full-width array is ever stepped.
+    width-(k - b) table for the rest.
+
+    The certificate lifts live classes one bit at a time.  A class r mod
+    2^(j-1) lifts to r and r + 2^(j-1) mod 2^j, and
+    T^(j-1)(r + 2^(j-1)) = T^(j-1)(r) + 3^c_(j-1)(r), so one step of
+    each lift gives T^j and c_j of both.  A lift r with 3^c_j < 2^j
+    drops, for every residue of the table that extends it, when
+    (2^j - 3^c_j) * 2^(k-j) > T^j(r) - r.  A start of such a residue is
+    n = a * 2^j + r with a >= 2^(k-j) (q >= 1 above the table width),
+    and T^j(n) = 3^c_j * a + T^j(r), so
+    n - T^j(n) = (2^j - 3^c_j) * a - (T^j(r) - r) > 0 at the smallest
+    a, and at every larger a since 2^j - 3^c_j > 0.  Dropped classes
+    are never lifted again; a decayed lift that fails the check stays
+    live, which is always sound, and counts in rescued if it survives.
     """
     if not 1 <= k <= MAX_TABLE_K:
         raise ValueError("table width k must be in 1..%d, got %r" % (MAX_TABLE_K, k))
     size = 1 << k
+    pow3 = np.array([3**i for i in range(k + 1)], dtype=np.int64)
+    dropped_at = np.full(size, -1, dtype=np.int8)
+    # int32 residues and int8 odd counts keep the widest levels' lifts small
+    r = np.zeros(1, dtype=np.int32)
+    x = np.zeros(1, dtype=np.int64)
+    cj = np.zeros(1, dtype=np.int8)
+    saw_decay = np.zeros(1, dtype=bool)
+    for j in range(1, k + 1):
+        r = np.concatenate((r, r + (1 << (j - 1))))
+        x = np.concatenate((x, x + pow3.take(cj)))
+        cj = np.concatenate((cj, cj))
+        saw_decay = np.concatenate((saw_decay, saw_decay))
+        cj += x & 1
+        x = _kernels._step(x)
+        gap = (1 << j) - pow3.take(cj)
+        decayed = gap > 0
+        saw_decay |= decayed
+        drop = decayed & (gap * (1 << (k - j)) > x - r)
+        if drop.any():
+            dropped_at.reshape(-1, 1 << j)[:, r[drop]] = j
+            keep = ~drop
+            r, x, cj, saw_decay = r[keep], x[keep], cj[keep], saw_decay[keep]
+
     low = min(k, _BLOCK_BITS)
     block = 1 << low
     high = k - low
-    pow3 = np.array([3**i for i in range(k + 1)], dtype=np.int64)
     c_low, s_low = _width_table(low)
     c_high, s_high = _width_table(high)
     p_low = pow3.take(c_low)
     high_mask = (1 << high) - 1
-    # largest odd count c with 3^c < 2^j, the decay bound at prefix j
-    decay_c = {j: max(c for c in range(j + 1) if 3**c < 1 << j) for j in range(1, k + 1)}
     c = np.empty(size, dtype=np.int8)
     s = np.empty(size, dtype=np.int64)
-    dropped_at = np.full(size, -1, dtype=np.int8)
-    survivors = []
-    rescued = 0
     for h in range(size >> low):
         base = h << low
         y = p_low * h
@@ -111,39 +135,12 @@ def build_table(k: int) -> SieveTable:
         y *= pow3.take(ch)
         y += s_high.take(ym)
         s[base:base + block] = y
-
-        r = np.arange(base, base + block, dtype=np.int64)
-        x = r
-        cj = np.zeros(block, dtype=np.int64)
-        saw_decay = np.zeros(block, dtype=bool)
-        for j in range(1, k + 1):
-            cj += x & 1
-            x = _kernels._step(x)
-            decayed = cj <= decay_c[j]
-            if not decayed.any():
-                continue
-            saw_decay |= decayed
-            d = np.flatnonzero(decayed)
-            rd, pd = r.take(d), pow3.take(cj.take(d))
-            above = rd >> j
-            sound = ((1 << j) - pd) * ((1 << (k - j)) + above) > (
-                x.take(d) - pd * above - (rd & ((1 << j) - 1)))
-            if not sound.any():
-                continue
-            dropped_at[rd[sound]] = j
-            keep = np.ones(r.size, dtype=bool)
-            keep[d[sound]] = False
-            keep = np.flatnonzero(keep)
-            r, x, cj, saw_decay = r.take(keep), x.take(keep), cj.take(keep), saw_decay.take(keep)
-            if not r.size:
-                break
-        survivors.append(r)
-        rescued += int(np.count_nonzero(saw_decay))
     s_max = int(s.max())
     qmax = np.array(
         [(INT64_MAX - s_max) // 3**i for i in range(k + 1)], dtype=np.int64
     )
-    return SieveTable(k, c, s, dropped_at, np.concatenate(survivors), pow3, qmax, rescued)
+    return SieveTable(k, c, s, dropped_at, r.astype(np.int64), pow3, qmax,
+                      int(np.count_nonzero(saw_decay)))
 
 
 def k_step(table: SieveTable, n: int) -> int:
@@ -215,10 +212,9 @@ def _plan_chunks(lo: int, hi: int, k: int, spans_per_chunk: int):
     width = 1 << k
     q0 = max(1, -(-lo // width))
     q1 = (hi + 1) // width
-    chunks = []
     if q1 <= q0:
-        chunks.append(("dense", lo, hi))
-        return chunks
+        return [("dense", lo, hi)]
+    chunks = []
     if lo < q0 * width:
         chunks.append(("dense", lo, q0 * width - 1))
     for b in range(q0, q1, spans_per_chunk):
@@ -226,14 +222,6 @@ def _plan_chunks(lo: int, hi: int, k: int, spans_per_chunk: int):
     if q1 * width <= hi:
         chunks.append(("dense", q1 * width, hi))
     return chunks
-
-
-def _chunk_checked(table: SieveTable, chunk) -> tuple[int, int]:
-    """(dense, survivor) start counts a chunk contributes, arithmetically."""
-    kind, a, b = chunk
-    if kind == "dense":
-        return b - a + 1, 0
-    return 0, (b - a) * int(table.survivors.size)
 
 
 def _run_chunk(table: SieveTable, chunk, max_jumps: int, recheck_steps: int):
@@ -324,40 +312,51 @@ def _write_checkpoint(path, k, lo, hi, spans_per_chunk, next_chunk, counterexamp
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path, k, lo, hi, spans_per_chunk):
+def _read_checkpoint(path, table, lo, hi, spans_per_chunk, chunks, recheck_steps):
     """(next_chunk, counterexamples) of a checkpoint written for this exact plan.
 
     The chunk index means something only against the chunk plan that
-    wrote it, so the header must match k, the range and spans_per_chunk.
-    A v1 file never recorded spans_per_chunk and is refused.
+    wrote it, so the header must match k, the range and spans_per_chunk
+    (which v1 files never recorded), and the index must be in
+    0..len(chunks).  Only the chunks before it can have listed a
+    counterexample: a listed one must be a start the plan follows, below
+    the first start of the chunk at the index, in ascending order, and
+    still open, for the reason given, under this run's recheck budget.
     """
+    k = table.k
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines:
-        raise CheckpointMismatchError("checkpoint file %r is empty" % (path,))
-    head = lines[0].split()
-    if len(head) != 7 or head[0] != "v2":
-        raise CheckpointMismatchError(
-            "unrecognized checkpoint header %r; only v2 checkpoints, which "
-            "record the chunk plan, can be resumed" % lines[0]
-        )
-    ck, clo, chi, cspc, nxt, ncex = (int(t) for t in head[1:])
+    try:
+        head = lines[0].split()
+        if len(head) != 7 or head[0] != "v2":
+            raise ValueError("only v2 checkpoints, which record the chunk plan, can be resumed")
+        ck, clo, chi, cspc, nxt, ncex = (int(t) for t in head[1:])
+        cex = [(int(num), reason.strip())
+               for num, reason in (line.split(None, 1) for line in lines[1:] if line.strip())]
+    except (IndexError, ValueError) as exc:
+        raise CheckpointMismatchError("checkpoint %r does not parse: %s" % (path, exc)) from None
     if (ck, clo, chi, cspc) != (k, lo, hi, spans_per_chunk):
         raise CheckpointMismatchError(
             "checkpoint was written for k=%d range [%d, %d] with %d spans per chunk, "
             "requested k=%d range [%d, %d] with %d spans per chunk"
             % (ck, clo, chi, cspc, k, lo, hi, spans_per_chunk)
         )
-    cex = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        num, reason = line.split(None, 1)
-        cex.append((int(num), reason.strip()))
     if len(cex) != ncex:
         raise CheckpointMismatchError(
             "checkpoint lists %d counterexamples but header says %d" % (len(cex), ncex)
         )
+    if not 0 <= nxt <= len(chunks):
+        raise CheckpointMismatchError(
+            "checkpoint resumes at chunk %d of a %d-chunk plan" % (nxt, len(chunks)))
+    first = [a << k if kind == "spans" else a for kind, a, _ in chunks] + [hi + 1]
+    nums = [n for n, _ in cex]
+    survivors = set(table.survivors.tolist()) if cex else ()
+    followed = [n for n in nums if lo <= n < first[nxt] and (
+        chunks[bisect_right(first, n) - 1][0] == "dense" or n % (1 << k) in survivors)]
+    if followed != sorted(set(nums)) or _exact_recheck(table, nums, recheck_steps) != cex:
+        raise CheckpointMismatchError(
+            "checkpoint lists counterexamples that its first %d chunks did not leave open"
+            % nxt)
     return nxt, cex
 
 
@@ -435,10 +434,10 @@ def verify_range(
     A checkpoint file, when given, is rewritten atomically after every
     chunk so an interrupted run resumes where it stopped and still
     produces the same counts and counterexample list.  Its header
-    records the chunk plan (k, the range and spans_per_chunk); resuming
-    under any other plan raises CheckpointMismatchError instead of
-    crediting chunks never computed.  Pool workers share the parent's
-    table rather than building their own.
+    records the chunk plan (k, the range and spans_per_chunk); a file
+    for any other plan, or one no run of this plan could have written,
+    raises CheckpointMismatchError instead of crediting chunks never
+    computed.  Pool workers share the parent's table.
     """
     if lo < 1 or hi < lo:
         raise ValueError("need 1 <= lo <= hi, got [%r, %r]" % (lo, hi))
@@ -455,15 +454,16 @@ def verify_range(
     start_chunk = 0
     cex: list[tuple[int, str]] = []
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
-        start_chunk, cex = _read_checkpoint(checkpoint_path, k, lo, hi, spans_per_chunk)
-        start_chunk = min(start_chunk, len(chunks))
+        start_chunk, cex = _read_checkpoint(checkpoint_path, table, lo, hi, spans_per_chunk,
+                                            chunks, recheck_steps)
     checked_dense = 0
     checked_survivors = 0
     rechecked = 0
-    for chunk in chunks[:start_chunk]:
-        d, s = _chunk_checked(table, chunk)
-        checked_dense += d
-        checked_survivors += s
+    for kind, a, b in chunks[:start_chunk]:
+        if kind == "dense":
+            checked_dense += b - a + 1
+        else:
+            checked_survivors += (b - a) * int(table.survivors.size)
 
     def commit(index, checked, chunk_rechecked, chunk_cex):
         nonlocal checked_dense, checked_survivors, rechecked

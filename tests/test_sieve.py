@@ -6,7 +6,7 @@ import os
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import kernel_reference as ref
@@ -34,6 +34,19 @@ def t_iter(n: int, k: int) -> int:
     return n
 
 
+def _parity_word_survivors(k: int) -> int:
+    """Length-k parity words whose every prefix j has 3^c_j > 2^j, counted by odd count c."""
+    by_c = {0: 1}
+    for j in range(1, k + 1):
+        nxt: dict = {}
+        for c, m in by_c.items():
+            for c2 in (c, c + 1):
+                if 3**c2 > 2**j:
+                    nxt[c2] = nxt.get(c2, 0) + m
+        by_c = nxt
+    return sum(by_c.values())
+
+
 class TestTable:
     def test_survivor_counts_match_known_sequence(self):
         assert survivor_counts(16) == KNOWN_SURVIVOR_COUNTS
@@ -46,6 +59,28 @@ class TestTable:
     def test_no_rescued_classes_up_to_16(self):
         for k in range(1, 17):
             assert build_table(k).rescued == 0
+
+    def test_no_rescued_classes_from_17_to_24(self):
+        for k in range(17, 25):
+            assert build_table(k).rescued == 0
+
+    def test_survivor_counts_equal_the_parity_word_count(self):
+        # Residues mod 2^k and parity words of length k are in bijection,
+        # and a class survives exactly when no prefix decays, since no
+        # decayed class is rescued.
+        assert survivor_counts(24) == tuple(_parity_word_survivors(k) for k in range(1, 25))
+
+    @settings(max_examples=200, deadline=None)
+    @given(j=st.integers(0, 24), r=st.integers(0, (1 << 24) - 1))
+    def test_lift_identity(self, j, r):
+        # T^j(r + 2^j) = T^j(r) + 3^c_j(r), which lets build_table lift
+        # the classes mod 2^j to 2^(j+1) with one step each.
+        r %= 1 << j
+        x, c = r, 0
+        for _ in range(j):
+            c += x & 1
+            x = t_step(x)
+        assert t_iter(r + (1 << j), j) == x + 3**c
 
     def test_even_class_drops_at_first_step(self):
         table = build_table(8)
@@ -575,3 +610,162 @@ class TestCheckpoint:
         path = tmp_path / "check.txt"
         verify_range(1, 10**5, k=12, checkpoint_path=str(path))
         assert not os.path.exists(str(path) + ".tmp")
+
+    @pytest.mark.parametrize("index", [-1, 4])
+    def test_index_outside_the_plan_rejected(self, tmp_path, index):
+        # [1, 10^5] at k=12 plans 3 chunks.  Index -1 once credited
+        # chunks[:-1] and then ran every chunk again, doubling the
+        # coverage; index 4 was clamped to 3 without a word.
+        path = tmp_path / "check.txt"
+        path.write_text("v2 12 1 100000 256 %d 0\n" % index)
+        assert len(_plan_chunks(1, 10**5, 12, 256)) == 3
+        with pytest.raises(CheckpointMismatchError, match="chunk %d of a 3-chunk plan" % index):
+            verify_range(1, 10**5, k=12, checkpoint_path=str(path))
+
+    @pytest.mark.parametrize("n", [9, 100001])
+    def test_counterexample_outside_the_range_rejected(self, tmp_path, n):
+        path = tmp_path / "check.txt"
+        path.write_text("v2 12 10 100000 256 3 1\n%d no-descent-within-1000000-steps\n" % n)
+        with pytest.raises(CheckpointMismatchError, match="counterexamples"):
+            verify_range(10, 10**5, k=12, checkpoint_path=str(path))
+
+    def test_counterexample_past_the_resume_chunk_rejected(self, tmp_path):
+        # Only the chunks before the index can have listed a
+        # counterexample; one from a later chunk is a real one of this
+        # plan (the small budgets leave some in every chunk), but no
+        # credited chunk produced it.
+        kw = dict(k=8, spans_per_chunk=4, max_jumps=1, recheck_steps=20)
+        path = tmp_path / "check.txt"
+        fresh = verify_range(1, 5000, **kw)
+        assert _plan_chunks(1, 5000, 8, 4)[2] == ("spans", 5, 9)
+        first = 5 << 8
+        listed = [c for c in fresh.counterexamples if c[0] < first]
+        late = next(c for c in fresh.counterexamples if c[0] >= first)
+        lines = ["%d %s" % c for c in listed + [late]]
+        path.write_text("v2 8 1 5000 4 2 %d\n%s\n" % (len(lines), "\n".join(lines)))
+        with pytest.raises(CheckpointMismatchError, match="first 2 chunks"):
+            verify_range(1, 5000, **kw, checkpoint_path=str(path))
+        path.write_text("v2 8 1 5000 4 2 %d\n%s\n" % (len(lines) - 1, "\n".join(lines[:-1])))
+        resumed = verify_range(1, 5000, **kw, checkpoint_path=str(path))
+        assert resumed.chunks_done_before == 2
+        assert resumed.counterexamples == fresh.counterexamples
+
+    @pytest.mark.parametrize("text", [
+        "v2 12 1 100000 256 3 1\n27\n",
+        "v2 12 1 100000 256 3 1\n27x no-descent-within-1000000-steps\n",
+        "v2 12 1 100000 256 three 0\n",
+        "",
+    ], ids=["one-token-line", "start-not-an-integer", "header-not-an-integer", "empty"])
+    def test_unparsable_checkpoint_rejected(self, tmp_path, text):
+        path = tmp_path / "check.txt"
+        path.write_text(text)
+        with pytest.raises(CheckpointMismatchError, match="does not parse"):
+            verify_range(1, 10**5, k=12, checkpoint_path=str(path))
+
+    def test_index_outside_the_plan_is_an_input_error_on_the_command_line(self, tmp_path,
+                                                                          capsys):
+        path = tmp_path / "check.txt"
+        path.write_text("v2 12 1 100000 256 -1 0\n")
+        code = cli.main(["verify", "--from", "1", "--to", "1e5", "--sieve-k", "12",
+                         "--checkpoint", str(path)])
+        assert code == 1
+        assert "chunk -1" in capsys.readouterr().err
+
+
+_CORRUPT_PLAN = dict(lo=1, hi=5000, k=8, spans_per_chunk=4, max_jumps=1, recheck_steps=20)
+_DETERMINISTIC = ("checked_dense", "checked_survivors", "skipped", "counterexamples",
+                  "chunks_total")
+
+
+@pytest.fixture(scope="module")
+def corruptible(tmp_path_factory):
+    """The fresh report of _CORRUPT_PLAN and the checkpoints of a finished and an interrupted run.
+
+    The small budgets leave counterexamples in every chunk of the plan.
+    """
+    tmp = tmp_path_factory.mktemp("corrupt")
+    fresh = verify_range(**_CORRUPT_PLAN)
+
+    class Stop(Exception):
+        pass
+
+    def bail_early(done, total, checked):
+        if done == 3:
+            raise Stop
+
+    texts = {}
+    for name, progress in (("finished", None), ("interrupted", bail_early)):
+        path = tmp / name
+        try:
+            verify_range(**_CORRUPT_PLAN, checkpoint_path=str(path), on_progress=progress)
+        except Stop:
+            pass
+        texts[name] = path.read_text()
+    return fresh, texts, tmp / "corrupted"
+
+
+def _as_int(token):
+    try:
+        return int(token)
+    except ValueError:
+        return None
+
+
+_TOKENS = st.one_of(
+    st.integers(-3, 3),
+    st.integers(-(1 << 70), 1 << 70),
+    st.text(alphabet="v2 +-_x09", max_size=4),
+)
+
+
+class TestCorruptCheckpoint:
+    def test_open_start_the_plan_skips_rejected(self, corruptible):
+        # 297 stays open under the plan's budget, but its class mod 2^8
+        # is certified, so no chunk follows it.
+        _, texts, path = corruptible
+        table = build_table(8)
+        assert 297 % 256 not in table.survivors
+        assert sieve._exact_recheck(table, [297], _CORRUPT_PLAN["recheck_steps"])
+        assert "\n283 " in texts["finished"] and "\n297 " not in texts["finished"]
+        path.write_text(texts["finished"].replace("\n283 ", "\n297 "))
+        with pytest.raises(CheckpointMismatchError, match="first 7 chunks"):
+            verify_range(**_CORRUPT_PLAN, checkpoint_path=str(path))
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        name=st.sampled_from(["finished", "interrupted"]),
+        data=st.data(),
+    )
+    def test_resume_raises_or_matches_the_fresh_run(self, corruptible, name, data):
+        # One header field or one line of a real checkpoint is replaced,
+        # dropped or repeated.  An integer token is drawn either as an
+        # offset from the value it replaces or as any integer.
+        fresh, texts, path = corruptible
+        lines = texts[name].splitlines()
+        at = data.draw(st.integers(0, len(lines) - 1), label="line")
+        tokens = lines[at].split(None, 1 if at else 6)
+        how = data.draw(st.sampled_from(["replace", "drop", "repeat"]), label="how")
+        if how == "replace":
+            i = data.draw(st.integers(0, len(tokens) - 1), label="token")
+            new = data.draw(_TOKENS, label="new")
+            if isinstance(new, int):
+                new = str((_as_int(tokens[i]) or 0) + new if -3 <= new <= 3 else new)
+            if i == 5 and at == 0 and name == "interrupted":
+                # An interrupted run's file with a later index inside the
+                # plan is a possible checkpoint of the same run: its
+                # index is trusted, as every checkpoint's is.
+                index = _as_int(new)
+                assume(index is None or not int(tokens[5]) < index <= fresh.chunks_total)
+            tokens[i] = new
+            lines[at] = " ".join(tokens)
+        elif how == "drop":
+            del lines[at]
+        else:
+            lines.insert(at, lines[at])
+        path.write_text("\n".join(lines) + "\n")
+        try:
+            resumed = verify_range(**_CORRUPT_PLAN, checkpoint_path=str(path))
+        except CheckpointMismatchError:
+            return
+        for field in _DETERMINISTIC:
+            assert getattr(resumed, field) == getattr(fresh, field), field
