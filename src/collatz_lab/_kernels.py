@@ -1,11 +1,11 @@
 """Hot inner loops over machine-sized integers, as numpy lockstep kernels.
 
 Each kernel takes its starts in blocks of lanes (VERIFY_LANES = 2^14
-for verify_span and verify_dense, LANES = 2^16 for the dip kernel) and
-advances the whole block together: one masked array step moves every
-live lane by one step (or one k-step jump), and a lane leaves the block
-as soon as its own stopping rule fires.  The rules are those of the
-plain one-start-at-a-time loop, applied per lane:
+for verify_span, verify_dense and jump_limbs, LANES = 2^16 for the dip
+kernel) and advances the whole block together: one masked array step
+moves every live lane by one step (or one k-step jump), and a lane
+leaves the block as soon as its own stopping rule fires.  The rules
+are those of the plain one-start-at-a-time loop, applied per lane:
 
 - resolved: the iterate is below the start n, or <= 2 for starts 1
   and 2 (verify), or the first iterate in [floor, n) (dip);
@@ -15,6 +15,11 @@ plain one-start-at-a-time loop, applied per lane:
 
 verify_span and verify_dense jump with one sieve.SieveTable (k, c, s,
 pow3, qmax, survivors) and take no floor: no range bound moves a stop.
+jump_limbs applies the same jumps to starts of any size, each held as
+int64 limbs of limb_bits(table) bits, and hands a lane back when a jump
+carries out of its top limb; it is the first stage of
+sieve._exact_recheck, and a block hands its lanes back once fewer than
+LIMB_MIN_LIVE still jump.
 
 dip is the one kernel behind two callers.  scan_sigma_peak runs it for
 T with floor 1 and step cap max_steps, and adds each start's walk to
@@ -36,9 +41,10 @@ happens to raise that threshold.  verify_span over the 76 spans of
 17-30 ms at 2^14 lanes (16-28 and 15-25 ms after one 16 MiB array
 was freed); verify_dense on [1, 65535] took 6-12 and 5-8 ms.  The
 dip kernel keeps 2^16: its lanes stay live much longer, and at 2^14
-a scan to 10^6 took about 1.4x as long.  Arbitrary precision work
-never lands here: callers re-run every handed-back start with Python
-integers.
+a scan to 10^6 took about 1.4x as long.  Callers re-run every
+handed-back start with Python integers, so arbitrary precision work
+lands here only as fixed-width limbs whose every product stays inside
+int64.
 """
 
 from __future__ import annotations
@@ -62,8 +68,12 @@ LANES = 1 << 16
 DIP_CAP = 1000
 # a cycle_census block hands back its lanes once fewer than this many walk
 DIP_MIN_LIVE = 32
-# lanes advanced together by verify_span and verify_dense
+# lanes advanced together by verify_span, verify_dense and jump_limbs
 VERIFY_LANES = 1 << 14
+# a jump_limbs block hands back its lanes once fewer than this many jump
+LIMB_MIN_LIVE = 64
+# bits a jump_limbs lane holds above the largest start of its block
+LIMB_HEADROOM = 40
 
 
 def _step(x: np.ndarray) -> np.ndarray:
@@ -308,3 +318,103 @@ def verify_dense(n0, n1, table, max_jumps):
         n = np.arange(a, min(a + VERIFY_LANES, n1 + 1), dtype=np.int64)
         _jump_block(n, table, max_jumps, unresolved)
     return max(n1 + 1 - n0, 0), _ascending(unresolved)
+
+
+def limb_bits(table) -> int:
+    """The widest limb B <= 62 in which every step of a limb jump stays below 2^63.
+
+    A limb of q is below 2^B, the multiplier 3^c at most 3^k, s(r) at
+    most s_max = INT64_MAX - qmax[0], and a carry in below 2^(63 - B),
+    so (2^B - 1) * 3^k + s_max + 2^(63 - B) <= INT64_MAX bounds every
+    sum before it is split.  B >= k for every k <= 24 (k = 20 gives 31,
+    k = 24 gives 24), so the shift by k crosses one limb boundary.
+    """
+    room = int(table.qmax[0])
+    p = 3**table.k
+    b = 62
+    while ((1 << b) - 1) * p + (1 << (63 - b)) > room:
+        b -= 1
+    return b
+
+
+def _start_words(starts):
+    """(w, bits): the starts' 64-bit words as (W, N) uint64, lowest first; the top bit length."""
+    try:  # numpy reads ints below 2^64 without a Python loop
+        w = np.fromiter(starts, np.uint64, len(starts)).reshape(1, -1)
+    except OverflowError:  # a start of 2^64 or more
+        size = -(-max(starts).bit_length() // 64)
+        buf = b"".join(n.to_bytes(8 * size, "little") for n in starts)
+        w = np.frombuffer(buf, dtype="<u8").reshape(-1, size).T.copy()
+    return w, 64 * (w.shape[0] - 1) + int(w[-1].max()).bit_length()
+
+
+def _word_limbs(w, b, limbs) -> np.ndarray:
+    """The b-bit limbs of each column of words w, lowest first, as (limbs, N) int64."""
+    mask = (1 << b) - 1
+    out = np.zeros((limbs, w.shape[1]), np.int64)
+    for i in range(limbs):
+        j, off = divmod(i * b, 64)
+        if j >= w.shape[0]:
+            break
+        v = w[j] >> off
+        if off + b > 64 and j + 1 < w.shape[0]:
+            v |= w[j + 1] << (64 - off)
+        out[i] = v & mask
+    return out
+
+
+def jump_limbs(starts, table, max_jumps) -> np.ndarray:
+    """Positions, ascending, of the starts that limb jumps leave for an exact re-follow.
+
+    starts is one block of lanes, a non-empty list of Python ints >= 1
+    of any size (sieve._exact_recheck passes VERIFY_LANES at a time).  A
+    lane holds its start n and its iterate x as L limbs of B =
+    limb_bits(table) bits, enough for the block's largest start and
+    LIMB_HEADROOM bits more, and jumps x -> 3^c(r) * (x >> k) + s(r),
+    r = x mod 2^k, limb by limb: the limbs of x >> k are shifted across
+    one limb boundary, each is multiplied by 3^c, s(r) is added to limb
+    0 and the carries run up.  A lane resolves at the first jump
+    boundary whose x is below max(n, 3), read from the borrow out of the
+    top limb of x - n.  It is handed back when a jump carries out of its
+    top limb, when its max_jumps jumps run out (the last jump's result
+    is never tested), or once fewer than LIMB_MIN_LIVE lanes still jump.
+    """
+    k = table.k
+    b = limb_bits(table)
+    mask = (1 << b) - 1
+    kmask = (1 << k) - 1
+    w, bits = _start_words(starts)
+    n = _word_limbs(w, b, -(-(bits + LIMB_HEADROOM) // b))
+    lane = np.arange(len(starts))
+    if max_jumps:  # 1 and 2 are <= 2 before any jump
+        keep = np.flatnonzero((n[0] >= 3) | n[1:].any(axis=0))
+        if keep.size < lane.size:
+            lane, n = lane.take(keep), n.take(keep, axis=1)
+    back = []
+    x = n
+    for j in range(max_jumps):
+        if j:  # x >= n exactly when no borrow leaves the top limb of x - n
+            borrow = 0
+            for d in x - n:
+                borrow = (d + borrow) >> 63
+            keep = np.flatnonzero(borrow == 0)
+            if keep.size < lane.size:
+                lane, n, x = lane.take(keep), n.take(keep, axis=1), x.take(keep, axis=1)
+        if lane.size < max(LIMB_MIN_LIVE, 1):
+            break
+        r = x[0] & kmask
+        y = x >> k
+        y[:-1] |= (x[1:] & kmask) << (b - k)
+        y *= table.pow3.take(table.c.take(r))
+        y[0] += table.s.take(r)
+        for i in range(1, y.shape[0]):
+            y[i] += y[i - 1] >> b
+        y[:-1] &= mask
+        over = y[-1] > mask
+        if over.any():
+            back.append(lane[over])
+            keep = np.flatnonzero(~over)
+            lane, n, y = lane.take(keep), n.take(keep, axis=1), y.take(keep, axis=1)
+        x = y
+    back.append(lane)
+    return _ascending(back)

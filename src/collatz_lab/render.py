@@ -535,14 +535,15 @@ def tag_check_to_text(n: int, ok: bool | None) -> str:
 
 # the figures of `collatz-lab info`, in order, with what each one sizes
 _INFO_FIELDS = (
-    ("backend", "kernel backend (numba when USING_NUMBA)"),
+    ("backend", "kernel backend (numpy lockstep lanes; numba is not used)"),
     ("python", "Python version"),
     ("numpy", "numpy version"),
     ("cpu_count", "logical CPUs (os.cpu_count)"),
     ("lanes", "lanes per dip-kernel block (records scan, cycle census)"),
-    ("verify_lanes", "lanes per verify-kernel block"),
+    ("verify_lanes", "lanes per verify-kernel and recheck limb block"),
     ("dip_cap", "census steps before a start is handed back"),
     ("dip_min_live", "census block handed back below this many walking lanes"),
+    ("limb_min_live", "recheck limb block handed back below this many jumping lanes"),
 )
 
 

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -175,12 +175,14 @@ class VerificationReport:
 
     All fields except rechecked and elapsed are deterministic for a
     given (lo, hi, k, spans_per_chunk), independent of worker count and
-    of any kill/resume in between.  rechecked counts the exact
-    re-follows of the chunks this call ran, whichever process (the
-    caller or a pool worker) ran them: the starts a kernel handed back
-    (its int64 guard, or max_jumps jumps without falling below itself)
-    and every start >= 2^63.  Chunks credited from a checkpoint add
-    none.  elapsed is wall time.
+    of any kill/resume in between.  rechecked counts the starts handed
+    to the exact recheck by the chunks this call ran, whichever process
+    (the caller or a pool worker) ran them: the starts an int64 kernel
+    handed back (its int64 guard, or max_jumps jumps without falling
+    below itself) and every start >= 2^63.  Each counts once, whether
+    the recheck's limb lanes settled it or its Python loop re-followed
+    it.  Chunks credited from a checkpoint add none.  elapsed is wall
+    time.
     """
 
     lo: int
@@ -264,7 +266,7 @@ def _worker_run(chunk, max_jumps, recheck_steps):
 
 
 def _exact_recheck(table: SieveTable, starts, max_steps: int) -> list[tuple[int, str]]:
-    """Follow each start exactly with Python integers; (n, reason) of those left open.
+    """Follow each start exactly; (n, reason) of those left open, in input order.
 
     A start n resolves when an iterate at a jump boundary, x after 0,
     k, 2k, ... steps, is below max(n, 3); it gets ceil(max_steps / k)
@@ -279,6 +281,20 @@ def _exact_recheck(table: SieveTable, starts, max_steps: int) -> list[tuple[int,
     only through the budget: for a start the walk resolves after more
     than max_steps - k steps, or one whose orbit dips below itself and
     is back above it at every boundary until the jumps run out.
+
+    The jumps run in two stages, one block of VERIFY_LANES starts at a
+    time.  _kernels.jump_limbs first jumps the block in numpy lanes of
+    int64 limbs; only the starts it hands back (a carry out of a lane's
+    top limb, a block thinned below LIMB_MIN_LIVE lanes, or spent jumps)
+    are re-followed from n with Python integers.  The open list is the
+    one-stage list by construction: limb_bits keeps every limb product,
+    carry and sum below 2^63, so each boundary value the limb stage
+    tests is the exact integer this loop would compute, the stage tests
+    the same boundaries (0 .. ceil(max_steps / k) - 1) by the same rule,
+    and it resolves a start only at a boundary where this loop would
+    stop too.  A start it hands back gets this loop's full budget again,
+    and blocks keep the input order.  An empty list, or a budget of no
+    jump, skips the limb stage.
     """
     k = table.k
     mask = (1 << k) - 1
@@ -287,16 +303,20 @@ def _exact_recheck(table: SieveTable, starts, max_steps: int) -> list[tuple[int,
     jumps = range(-(-max_steps // k))
     reason = "no-descent-within-%d-steps" % max_steps
     left_open = []
-    for n in starts:
-        x = n
-        floor = n if n > 2 else 3  # x < n, or x <= 2 for starts 1 and 2
-        for _ in jumps:
-            if x < floor:
-                break
-            r = x & mask
-            x = pow3[c[r]] * (x >> k) + s[r]
-        else:
-            left_open.append((n, reason))
+    todo = iter(starts)
+    while block := list(islice(todo, _kernels.VERIFY_LANES)):
+        if jumps:
+            block = [block[i] for i in _kernels.jump_limbs(block, table, len(jumps)).tolist()]
+        for n in block:
+            x = n
+            floor = n if n > 2 else 3  # x < n, or x <= 2 for starts 1 and 2
+            for _ in jumps:
+                if x < floor:
+                    break
+                r = x & mask
+                x = pow3[c[r]] * (x >> k) + s[r]
+            else:
+                left_open.append((n, reason))
     return left_open
 
 
@@ -410,8 +430,8 @@ def verify_range(
     Survivor classes and the dense edges are followed with k-step
     jumps; certified classes are skipped outright; anything the int64
     kernels could not settle, and every start >= 2^63, is re-followed
-    exactly with big integers, by _exact_recheck in the process that
-    ran the chunk.
+    exactly by _exact_recheck (multi-limb numpy lanes first, Python
+    integers for what they hand back) in the process that ran the chunk.
 
     The argument is strong induction over [lo, hi], with [1, lo) taken
     as verified.  Each start n falls to some x < n (a certified class by

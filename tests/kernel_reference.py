@@ -6,6 +6,8 @@ tests/test_kernels.py compares the kernels against them bit for bit.
 build_table is the sieve table built by stepping every residue at
 once, and exact_recheck the one-step recheck walk; tests/test_sieve.py
 compares sieve.build_table and sieve._exact_recheck against them.
+jump_limbs walks each start of the limb kernel one step at a time, with
+the kernel's top-limb bound as a bit count.
 cycle_census follows every start with trajectory._follow, one at a
 time; tests/test_trajectory.py compares trajectory.cycle_census, which
 walks the starts through the dip kernel, against it.  scan_records
@@ -134,6 +136,30 @@ def build_table(k):
     )
     c_small = c.astype(np.int8)
     return SieveTable(k, c_small, x, dropped_at, survivors, pow3, qmax, rescued)
+
+
+def jump_limbs(starts, k, max_jumps, top_bits):
+    """Positions of the starts the limb kernel hands back while no block thins.
+
+    Each start is walked one halved step at a time and tested at every
+    k-th step: resolved at the first of its max_jumps boundaries below
+    max(n, 3), handed back once a boundary value needs more than top_bits
+    bits, or when the boundaries run out.
+    """
+    back = []
+    for i, n in enumerate(starts):
+        x = n
+        for _ in range(max_jumps):
+            if x < max(n, 3):
+                break
+            for _ in range(k):
+                x = (3 * x + 1) >> 1 if x & 1 else x >> 1
+            if x >> top_bits:
+                back.append(i)
+                break
+        else:
+            back.append(i)
+    return np.array(back, np.int64)
 
 
 def exact_recheck(n, max_steps, every=1):

@@ -11,6 +11,7 @@ jump budget) and to straddle the LANES block boundary.
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -261,3 +262,93 @@ def test_dip_reports_the_first_iterate_in_the_window():
             assert (target[j], peak[j]) == (x, pk), start
     assert steps[27 - 20] == 0
     assert not _kernels.dip(n, table, 10, 50, min_live=21)[0].any()
+
+
+def test_limb_bits_is_the_widest_safe_limb(limb_tables):
+    for k, table in limb_tables.items():
+        b = _kernels.limb_bits(table)
+        s_max = int(table.s.max())
+
+        def safe(b):
+            return ((1 << b) - 1) * 3**k + s_max + (1 << (63 - b)) <= 2**63 - 1
+
+        assert k <= b <= 62 and safe(b) and not safe(b + 1)
+    assert _kernels.limb_bits(limb_tables[24]) == 24
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bits=st.sampled_from([24, 31, 37, 61]),
+    starts=st.lists(st.integers(1, 1 << 64) | st.integers(1, 1 << 200), min_size=1, max_size=20),
+)
+def test_start_words_and_limbs_rebuild_each_start(bits, starts):
+    w, top = _kernels._start_words(starts)
+    assert top == max(starts).bit_length()
+    limbs = _kernels._word_limbs(w, bits, -(-top // bits) + 1)
+    assert limbs.dtype == np.int64
+    assert limbs.min() >= 0 and limbs.max() < 1 << bits
+    assert [sum(int(v) << (bits * i) for i, v in enumerate(col)) for col in limbs.T] == starts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    k=st.sampled_from([1, 12, 16, 20, 24]),
+    base=st.sampled_from([2**62, 2**63, 2**64, 2**68, 2**90]),
+    offset=st.integers(-300, 300),
+    edge=st.booleans(),
+    length=st.integers(0, 150),
+    cut=st.integers(0, 150),
+    max_jumps=st.integers(0, 12),
+    headroom=st.sampled_from([0, 2, 40]),
+)
+def test_jump_limbs_property(limb_tables, k, base, offset, edge, length, cut, max_jumps,
+                             headroom):
+    # With no block thinning, a lane's fate depends on its own walk
+    # alone: the reference walks every start one step at a time.  An
+    # edge window ends at 2^(m * B) - 1, the top of m full limbs, so with
+    # headroom 0 the first jump that grows carries out of the top limb.
+    # Starts 1 and 2 sit after the first cut starts of the window.
+    table = limb_tables[k]
+    b = _kernels.limb_bits(table)
+    if edge:
+        base, offset = (1 << (b * -(-base.bit_length() // b))) - length, -(abs(offset) % 8)
+    starts = list(range(base + offset, base + offset + length))
+    starts = starts[:cut] + [2, 1] + starts[cut:]
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(_kernels, "LIMB_MIN_LIVE", 1)
+        m.setattr(_kernels, "LIMB_HEADROOM", headroom)
+        got = _kernels.jump_limbs(starts, table, max_jumps)
+    top_bits = -(-(max(starts).bit_length() + headroom) // b) * b
+    want = ref.jump_limbs(starts, k, max_jumps, top_bits)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, want)
+
+
+def test_jump_limbs_hands_back_on_top_limb_carry(limb_tables, monkeypatch):
+    # 2^(2B) - 1 - i fill two limbs; with no headroom, every start that
+    # grows over its first jump carries out of the top one.
+    table = limb_tables[12]
+    b = _kernels.limb_bits(table)
+    starts = [(1 << (2 * b)) - 1 - i for i in range(200)]
+    monkeypatch.setattr(_kernels, "LIMB_MIN_LIVE", 1)
+    monkeypatch.setattr(_kernels, "LIMB_HEADROOM", 0)
+    got = _kernels.jump_limbs(starts, table, 30)
+    assert np.array_equal(got, ref.jump_limbs(starts, 12, 30, 2 * b))
+    roomy = ref.jump_limbs(starts, 12, 30, 4 * b)
+    assert roomy.size < got.size
+
+
+def test_jump_limbs_thin_blocks_hand_back_their_lanes(limb_tables, monkeypatch):
+    # A block hands back every lane still jumping once fewer than
+    # LIMB_MIN_LIVE are: a superset of the lanes it would give back
+    # without thinning, and everything when the block starts thinner.
+    table = limb_tables[20]
+    starts = list(range(2**62 + 1, 2**62 + 2001))
+    monkeypatch.setattr(_kernels, "LIMB_MIN_LIVE", 1)
+    plain = set(_kernels.jump_limbs(starts, table, 50).tolist())
+    monkeypatch.setattr(_kernels, "LIMB_MIN_LIVE", 100)
+    thin = _kernels.jump_limbs(starts, table, 50)
+    assert plain < set(thin.tolist())
+    assert np.array_equal(thin, np.sort(thin))
+    monkeypatch.setattr(_kernels, "LIMB_MIN_LIVE", len(starts) + 1)
+    assert np.array_equal(_kernels.jump_limbs(starts, table, 50), np.arange(len(starts)))

@@ -19,7 +19,7 @@ from collatz_lab import (
     survivor_counts,
     verify_range,
 )
-from collatz_lab import cli, sieve
+from collatz_lab import _kernels, cli, sieve
 from collatz_lab.maps import t_step
 from collatz_lab.sieve import _plan_chunks
 
@@ -199,6 +199,44 @@ class TestExactRecheck:
             ((1 << 70) - 1, "no-descent-within-13-steps"),
             (27, "no-descent-within-13-steps"),
         ]
+
+
+class TestLimbStage:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.sampled_from([1, 12, 16, 20, 24]),
+        base=st.sampled_from([2**62, 2**63, 2**64, 2**68, 2**90]),
+        offset=st.integers(-300, 300),
+        length=st.integers(0, 150),
+        cut=st.integers(0, 150),
+        max_steps=st.integers(0, 300),
+        min_live=st.sampled_from([1, 20, 64, 1000]),
+        headroom=st.sampled_from([0, 40]),
+        lanes=st.sampled_from([16, 1 << 14]),
+    )
+    def test_open_list_equals_the_step_walker(self, limb_tables, k, base, offset, length, cut,
+                                             max_steps, min_live, headroom, lanes):
+        # Whatever the limb stage resolves or hands back (top-limb carries
+        # with no headroom, thin blocks, spent budgets), the open list is
+        # the one-step walk's, in input order.
+        starts = list(range(base + offset, base + offset + length))
+        starts = starts[:cut] + [2, 1] + starts[cut:]
+        table = limb_tables[k]
+        with pytest.MonkeyPatch.context() as m:
+            m.setattr(_kernels, "LIMB_MIN_LIVE", min_live)
+            m.setattr(_kernels, "LIMB_HEADROOM", headroom)
+            m.setattr(_kernels, "VERIFY_LANES", lanes)
+            got = sieve._exact_recheck(table, iter(starts), max_steps)
+        assert got == _step_walker_recheck(table, starts, max_steps)
+
+    def test_an_empty_recheck_skips_the_limb_stage(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("limb stage ran")
+
+        monkeypatch.setattr(_kernels, "jump_limbs", refuse)
+        assert sieve._exact_recheck(_RECHECK_TABLES[12], iter(()), 10**6) == []
+        assert sieve._exact_recheck(_RECHECK_TABLES[12], [5, 27], 0) == [
+            (5, "no-descent-within-0-steps"), (27, "no-descent-within-0-steps")]
 
 
 def _step_walker_recheck(table, starts, max_steps):
