@@ -16,10 +16,10 @@ are those of the plain one-start-at-a-time loop, applied per lane:
 verify_span and verify_dense jump with one sieve.SieveTable (k, c, s,
 pow3, qmax, survivors) and take no floor: no range bound moves a stop.
 jump_limbs applies the same jumps to starts of any size, each held as
-int64 limbs of limb_bits(table) bits, and hands a lane back when a jump
-carries out of its top limb; it is the first stage of
-sieve._exact_recheck, and a block hands its lanes back once fewer than
-LIMB_MIN_LIVE still jump.
+int64 limbs of limb_bits(table) bits.  It hands nothing back: a block
+gains a limb when a jump carries out of its top one, and every lane
+jumps until it resolves or spends its budget.  It is the whole of
+sieve._exact_recheck.
 
 dip is the one kernel behind two callers.  scan_sigma_peak runs it for
 T with floor 1 and step cap max_steps, and adds each start's walk to
@@ -41,10 +41,10 @@ happens to raise that threshold.  verify_span over the 76 spans of
 17-30 ms at 2^14 lanes (16-28 and 15-25 ms after one 16 MiB array
 was freed); verify_dense on [1, 65535] took 6-12 and 5-8 ms.  The
 dip kernel keeps 2^16: its lanes stay live much longer, and at 2^14
-a scan to 10^6 took about 1.4x as long.  Callers re-run every
-handed-back start with Python integers, so arbitrary precision work
-lands here only as fixed-width limbs whose every product stays inside
-int64.
+a scan to 10^6 took about 1.4x as long.  Arbitrary precision work
+lands here only in jump_limbs, as limbs whose every product stays
+inside int64 however wide a block grows; the verify chunks send it
+every start their int64 kernels hand back.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ DIP_CAP = 1000
 DIP_MIN_LIVE = 32
 # lanes advanced together by verify_span, verify_dense and jump_limbs
 VERIFY_LANES = 1 << 14
-# a jump_limbs block hands back its lanes once fewer than this many jump
-LIMB_MIN_LIVE = 64
-# bits a jump_limbs lane holds above the largest start of its block
-LIMB_HEADROOM = 40
 
 
 def _step(x: np.ndarray) -> np.ndarray:
@@ -364,34 +360,37 @@ def _word_limbs(w, b, limbs) -> np.ndarray:
 
 
 def jump_limbs(starts, table, max_jumps) -> np.ndarray:
-    """Positions, ascending, of the starts that limb jumps leave for an exact re-follow.
+    """Positions, ascending, of the starts that max_jumps limb jumps leave open.
 
     starts is one block of lanes, a non-empty list of Python ints >= 1
     of any size (sieve._exact_recheck passes VERIFY_LANES at a time).  A
     lane holds its start n and its iterate x as L limbs of B =
-    limb_bits(table) bits, enough for the block's largest start and
-    LIMB_HEADROOM bits more, and jumps x -> 3^c(r) * (x >> k) + s(r),
-    r = x mod 2^k, limb by limb: the limbs of x >> k are shifted across
-    one limb boundary, each is multiplied by 3^c, s(r) is added to limb
-    0 and the carries run up.  A lane resolves at the first jump
-    boundary whose x is below max(n, 3), read from the borrow out of the
-    top limb of x - n.  It is handed back when a jump carries out of its
-    top limb, when its max_jumps jumps run out (the last jump's result
-    is never tested), or once fewer than LIMB_MIN_LIVE lanes still jump.
+    limb_bits(table) bits, one more than the block's largest start
+    needs, and jumps x -> 3^c(r) * (x >> k) + s(r), r = x mod 2^k, limb
+    by limb: the limbs of x >> k are shifted across one limb boundary,
+    each is multiplied by 3^c, s(r) is added to limb 0 and the carries
+    run up.  A lane resolves at the first jump boundary whose x is below
+    max(n, 3), read from the borrow out of the top limb of x - n; the
+    last jump's result is never tested.
+
+    A jump that carries out of some lane's top limb widens the block:
+    x gains the bits above B of its top limb as a new limb, n a zero.
+    s(r) < 3^k, so every carry is below 3^k, and the top limb of x >> k
+    is below 2^(B-k), so the new limb is below (3/2)^k + 3^k / 2^B <=
+    2 (3/2)^k < 2^16 <= 2^B: limb_bits' bound holds at any width.  A
+    start left open under a large budget (10^6 steps are 50,000 jumps
+    at k = 20) widens and jumps until the budget is spent, at a cost
+    not yet measured.
     """
     k = table.k
     b = limb_bits(table)
     mask = (1 << b) - 1
     kmask = (1 << k) - 1
     w, bits = _start_words(starts)
-    n = _word_limbs(w, b, -(-(bits + LIMB_HEADROOM) // b))
-    lane = np.arange(len(starts))
-    if max_jumps:  # 1 and 2 are <= 2 before any jump
-        keep = np.flatnonzero((n[0] >= 3) | n[1:].any(axis=0))
-        if keep.size < lane.size:
-            lane, n = lane.take(keep), n.take(keep, axis=1)
-    back = []
-    x = n
+    n = _word_limbs(w, b, -(-bits // b) + 1)
+    # 1 and 2 are <= 2 before any jump: open only when there is none
+    lane = np.flatnonzero((n[0] >= 3) | n[1:].any(axis=0) | (max_jumps == 0))
+    x = n = n.take(lane, axis=1) if lane.size < len(starts) else n
     for j in range(max_jumps):
         if j:  # x >= n exactly when no borrow leaves the top limb of x - n
             borrow = 0
@@ -400,7 +399,7 @@ def jump_limbs(starts, table, max_jumps) -> np.ndarray:
             keep = np.flatnonzero(borrow == 0)
             if keep.size < lane.size:
                 lane, n, x = lane.take(keep), n.take(keep, axis=1), x.take(keep, axis=1)
-        if lane.size < max(LIMB_MIN_LIVE, 1):
+        if not lane.size:
             break
         r = x[0] & kmask
         y = x >> k
@@ -410,11 +409,10 @@ def jump_limbs(starts, table, max_jumps) -> np.ndarray:
         for i in range(1, y.shape[0]):
             y[i] += y[i - 1] >> b
         y[:-1] &= mask
-        over = y[-1] > mask
-        if over.any():
-            back.append(lane[over])
-            keep = np.flatnonzero(~over)
-            lane, n, y = lane.take(keep), n.take(keep, axis=1), y.take(keep, axis=1)
+        carry = y[-1] >> b
+        if carry.any():
+            y[-1] &= mask
+            y = np.vstack((y, carry))
+            n = np.vstack((n, np.zeros_like(carry)))
         x = y
-    back.append(lane)
-    return _ascending(back)
+    return lane

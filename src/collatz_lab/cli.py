@@ -238,7 +238,6 @@ def _cmd_info(args) -> int:
         "verify_lanes": _kernels.VERIFY_LANES,
         "dip_cap": _kernels.DIP_CAP,
         "dip_min_live": _kernels.DIP_MIN_LIVE,
-        "limb_min_live": _kernels.LIMB_MIN_LIVE,
     }
     _show(args, info, text=render.info_to_text, json=render.info_to_json)
     return 0

@@ -543,7 +543,6 @@ _INFO_FIELDS = (
     ("verify_lanes", "lanes per verify-kernel and recheck limb block"),
     ("dip_cap", "census steps before a start is handed back"),
     ("dip_min_live", "census block handed back below this many walking lanes"),
-    ("limb_min_live", "recheck limb block handed back below this many jumping lanes"),
 )
 
 

@@ -32,20 +32,19 @@ MAX_TABLE_K = 24
 
 @dataclass(frozen=True, eq=False)
 class SieveTable:
-    """Per-residue jump coefficients plus the drop certificates.
+    """Per-residue jump coefficients plus the residues no certificate drops.
 
     c and s cover every residue, certified or not, because a followed
-    orbit can land anywhere mod 2^k.  dropped_at holds the prefix j at
-    which the residue's class mod 2^j was certified, -1 for survivors.
-    rescued counts survivors whose coefficient decayed (3^c_j < 2^j) at
-    some prefix without the value check passing there; they stay
-    survivors, which keeps the skip sound by construction.
+    orbit can land anywhere mod 2^k.  survivors lists, ascending, the
+    residues whose class no prefix certified.  rescued counts survivors
+    whose coefficient decayed (3^c_j < 2^j) at some prefix without the
+    value check passing there; they stay survivors, which keeps the
+    skip sound by construction.
     """
 
     k: int
     c: np.ndarray
     s: np.ndarray
-    dropped_at: np.ndarray
     survivors: np.ndarray
     pow3: np.ndarray
     qmax: np.ndarray
@@ -69,7 +68,7 @@ def _width_table(k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def build_table(k: int) -> SieveTable:
-    """The width-k jump table and the drop certificate of every residue.
+    """The width-k jump table and the residues that no drop certificate covers.
 
     Residues r = h * 2^b + l (b = min(k, 14) low bits) get c and s one
     block of fixed h at a time.  The jump coefficients compose exactly:
@@ -93,7 +92,6 @@ def build_table(k: int) -> SieveTable:
         raise ValueError("table width k must be in 1..%d, got %r" % (MAX_TABLE_K, k))
     size = 1 << k
     pow3 = np.array([3**i for i in range(k + 1)], dtype=np.int64)
-    dropped_at = np.full(size, -1, dtype=np.int8)
     # int32 residues and int8 odd counts keep the widest levels' lifts small
     r = np.zeros(1, dtype=np.int32)
     x = np.zeros(1, dtype=np.int64)
@@ -111,7 +109,6 @@ def build_table(k: int) -> SieveTable:
         saw_decay |= decayed
         drop = decayed & (gap * (1 << (k - j)) > x - r)
         if drop.any():
-            dropped_at.reshape(-1, 1 << j)[:, r[drop]] = j
             keep = ~drop
             r, x, cj, saw_decay = r[keep], x[keep], cj[keep], saw_decay[keep]
 
@@ -139,7 +136,7 @@ def build_table(k: int) -> SieveTable:
     qmax = np.array(
         [(INT64_MAX - s_max) // 3**i for i in range(k + 1)], dtype=np.int64
     )
-    return SieveTable(k, c, s, dropped_at, r.astype(np.int64), pow3, qmax,
+    return SieveTable(k, c, s, r.astype(np.int64), pow3, qmax,
                       int(np.count_nonzero(saw_decay)))
 
 
@@ -179,10 +176,8 @@ class VerificationReport:
     to the exact recheck by the chunks this call ran, whichever process
     (the caller or a pool worker) ran them: the starts an int64 kernel
     handed back (its int64 guard, or max_jumps jumps without falling
-    below itself) and every start >= 2^63.  Each counts once, whether
-    the recheck's limb lanes settled it or its Python loop re-followed
-    it.  Chunks credited from a checkpoint add none.  elapsed is wall
-    time.
+    below itself) and every start >= 2^63, each once.  Chunks credited
+    from a checkpoint add none.  elapsed is wall time.
     """
 
     lo: int
@@ -282,42 +277,20 @@ def _exact_recheck(table: SieveTable, starts, max_steps: int) -> list[tuple[int,
     than max_steps - k steps, or one whose orbit dips below itself and
     is back above it at every boundary until the jumps run out.
 
-    The jumps run in two stages, one block of VERIFY_LANES starts at a
-    time.  _kernels.jump_limbs first jumps the block in numpy lanes of
-    int64 limbs; only the starts it hands back (a carry out of a lane's
-    top limb, a block thinned below LIMB_MIN_LIVE lanes, or spent jumps)
-    are re-followed from n with Python integers.  The open list is the
-    one-stage list by construction: limb_bits keeps every limb product,
-    carry and sum below 2^63, so each boundary value the limb stage
-    tests is the exact integer this loop would compute, the stage tests
-    the same boundaries (0 .. ceil(max_steps / k) - 1) by the same rule,
-    and it resolves a start only at a boundary where this loop would
-    stop too.  A start it hands back gets this loop's full budget again,
-    and blocks keep the input order.  An empty list, or a budget of no
-    jump, skips the limb stage.
+    _kernels.jump_limbs makes the jumps, one block of VERIFY_LANES
+    starts at a time, in numpy lanes of int64 limbs that widen as an
+    orbit grows.  limb_bits keeps every limb product, carry and sum
+    below 2^63, so each boundary value it tests is the exact integer,
+    and it tests the same boundaries (0 .. ceil(max_steps / k) - 1) by
+    this rule.  Blocks keep the input order, and an empty input never
+    reaches the kernel.
     """
-    k = table.k
-    mask = (1 << k) - 1
-    c, s = memoryview(table.c), memoryview(table.s)
-    pow3 = [3**i for i in range(k + 1)]
-    jumps = range(-(-max_steps // k))
-    reason = "no-descent-within-%d-steps" % max_steps
-    left_open = []
     todo = iter(starts)
-    while block := list(islice(todo, _kernels.VERIFY_LANES)):
-        if jumps:
-            block = [block[i] for i in _kernels.jump_limbs(block, table, len(jumps)).tolist()]
-        for n in block:
-            x = n
-            floor = n if n > 2 else 3  # x < n, or x <= 2 for starts 1 and 2
-            for _ in jumps:
-                if x < floor:
-                    break
-                r = x & mask
-                x = pow3[c[r]] * (x >> k) + s[r]
-            else:
-                left_open.append((n, reason))
-    return left_open
+    blocks = iter(lambda: list(islice(todo, _kernels.VERIFY_LANES)), [])
+    jumps = -(-max_steps // table.k)
+    reason = "no-descent-within-%d-steps" % max_steps
+    return [(block[i], reason) for block in blocks
+            for i in _kernels.jump_limbs(block, table, jumps).tolist()]
 
 
 def _write_checkpoint(path, k, lo, hi, spans_per_chunk, next_chunk, counterexamples) -> None:
@@ -430,8 +403,8 @@ def verify_range(
     Survivor classes and the dense edges are followed with k-step
     jumps; certified classes are skipped outright; anything the int64
     kernels could not settle, and every start >= 2^63, is re-followed
-    exactly by _exact_recheck (multi-limb numpy lanes first, Python
-    integers for what they hand back) in the process that ran the chunk.
+    exactly by _exact_recheck (multi-limb numpy lanes that widen as an
+    orbit grows) in the process that ran the chunk.
 
     The argument is strong induction over [lo, hi], with [1, lo) taken
     as verified.  Each start n falls to some x < n (a certified class by

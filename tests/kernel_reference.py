@@ -6,8 +6,7 @@ tests/test_kernels.py compares the kernels against them bit for bit.
 build_table is the sieve table built by stepping every residue at
 once, and exact_recheck the one-step recheck walk; tests/test_sieve.py
 compares sieve.build_table and sieve._exact_recheck against them.
-jump_limbs walks each start of the limb kernel one step at a time, with
-the kernel's top-limb bound as a bit count.
+jump_limbs walks each start of the limb kernel one step at a time.
 cycle_census follows every start with trajectory._follow, one at a
 time; tests/test_trajectory.py compares trajectory.cycle_census, which
 walks the starts through the dip kernel, against it.  scan_records
@@ -109,7 +108,6 @@ def build_table(k):
     r = np.arange(size, dtype=np.int64)
     x = r.copy()
     c = np.zeros(size, dtype=np.int64)
-    dropped_at = np.full(size, -1, dtype=np.int8)
     alive = np.ones(size, dtype=bool)
     saw_decay = np.zeros(size, dtype=bool)
     pow3 = np.array([3**i for i in range(k + 1)], dtype=np.int64)
@@ -125,9 +123,7 @@ def build_table(k):
         rj = r & ((1 << j) - 1)
         a_min = (1 << (k - j)) + (r >> j)
         sound = ((1 << j) - pow3[c]) * a_min > x[rj] - rj
-        drop = alive & decayed & sound
-        dropped_at[drop] = j
-        alive &= ~drop
+        alive &= ~(decayed & sound)
     survivors = np.nonzero(alive)[0].astype(np.int64)
     rescued = int(np.count_nonzero(saw_decay & alive))
     s_max = int(x.max())
@@ -135,18 +131,17 @@ def build_table(k):
         [(INT64_MAX - s_max) // 3**i for i in range(k + 1)], dtype=np.int64
     )
     c_small = c.astype(np.int8)
-    return SieveTable(k, c_small, x, dropped_at, survivors, pow3, qmax, rescued)
+    return SieveTable(k, c_small, x, survivors, pow3, qmax, rescued)
 
 
-def jump_limbs(starts, k, max_jumps, top_bits):
-    """Positions of the starts the limb kernel hands back while no block thins.
+def jump_limbs(starts, k, max_jumps):
+    """Positions of the starts the limb kernel leaves open.
 
     Each start is walked one halved step at a time and tested at every
     k-th step: resolved at the first of its max_jumps boundaries below
-    max(n, 3), handed back once a boundary value needs more than top_bits
-    bits, or when the boundaries run out.
+    max(n, 3), open when the boundaries run out.
     """
-    back = []
+    open_ = []
     for i, n in enumerate(starts):
         x = n
         for _ in range(max_jumps):
@@ -154,12 +149,9 @@ def jump_limbs(starts, k, max_jumps, top_bits):
                 break
             for _ in range(k):
                 x = (3 * x + 1) >> 1 if x & 1 else x >> 1
-            if x >> top_bits:
-                back.append(i)
-                break
         else:
-            back.append(i)
-    return np.array(back, np.int64)
+            open_.append(i)
+    return np.array(open_, np.int64)
 
 
 def exact_recheck(n, max_steps, every=1):

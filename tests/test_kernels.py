@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 import kernel_reference as ref
 from collatz_lab import _kernels
 from collatz_lab._kernels import LANES
-from collatz_lab.sieve import build_table
+from collatz_lab.sieve import build_table, k_step
 
 _TABLES = {}
 
@@ -299,56 +299,47 @@ def test_start_words_and_limbs_rebuild_each_start(bits, starts):
     length=st.integers(0, 150),
     cut=st.integers(0, 150),
     max_jumps=st.integers(0, 12),
-    headroom=st.sampled_from([0, 2, 40]),
 )
-def test_jump_limbs_property(limb_tables, k, base, offset, edge, length, cut, max_jumps,
-                             headroom):
-    # With no block thinning, a lane's fate depends on its own walk
-    # alone: the reference walks every start one step at a time.  An
-    # edge window ends at 2^(m * B) - 1, the top of m full limbs, so with
-    # headroom 0 the first jump that grows carries out of the top limb.
-    # Starts 1 and 2 sit after the first cut starts of the window.
+def test_jump_limbs_property(limb_tables, k, base, offset, edge, length, cut, max_jumps):
+    # A lane's fate depends on its own walk alone: the reference walks
+    # every start one step at a time.  An edge window ends at
+    # 2^(m * B) - 1, the top of m full limbs, so a block starts with one
+    # spare limb above its largest start.  Starts 1 and 2 sit after the
+    # first cut starts of the window.
     table = limb_tables[k]
     b = _kernels.limb_bits(table)
     if edge:
         base, offset = (1 << (b * -(-base.bit_length() // b))) - length, -(abs(offset) % 8)
     starts = list(range(base + offset, base + offset + length))
     starts = starts[:cut] + [2, 1] + starts[cut:]
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(_kernels, "LIMB_MIN_LIVE", 1)
-        m.setattr(_kernels, "LIMB_HEADROOM", headroom)
-        got = _kernels.jump_limbs(starts, table, max_jumps)
-    top_bits = -(-(max(starts).bit_length() + headroom) // b) * b
-    want = ref.jump_limbs(starts, k, max_jumps, top_bits)
+    got = _kernels.jump_limbs(starts, table, max_jumps)
     assert got.dtype == np.int64
-    assert np.array_equal(got, want)
+    assert np.array_equal(got, ref.jump_limbs(starts, k, max_jumps))
 
 
-def test_jump_limbs_hands_back_on_top_limb_carry(limb_tables, monkeypatch):
-    # 2^(2B) - 1 - i fill two limbs; with no headroom, every start that
-    # grows over its first jump carries out of the top one.
-    table = limb_tables[12]
+@pytest.mark.parametrize("k", [1, 20, 24])
+def test_jump_limbs_widens_on_top_limb_carry(limb_tables, k):
+    # 2^m - 1 takes m odd steps in a row to 3^m - 1, so its orbit rises
+    # by about 0.585 m bits.  At m around 2B, 3B and 4B that outgrows
+    # the spare limb a block starts with, and the block must widen, one
+    # or more times, rather than lose the lane.  Each start is tried
+    # with budgets that end just before and just after the jump at which
+    # it falls below itself, in one block and in a block of its own.
+    table = limb_tables[k]
     b = _kernels.limb_bits(table)
-    starts = [(1 << (2 * b)) - 1 - i for i in range(200)]
-    monkeypatch.setattr(_kernels, "LIMB_MIN_LIVE", 1)
-    monkeypatch.setattr(_kernels, "LIMB_HEADROOM", 0)
-    got = _kernels.jump_limbs(starts, table, 30)
-    assert np.array_equal(got, ref.jump_limbs(starts, 12, 30, 2 * b))
-    roomy = ref.jump_limbs(starts, 12, 30, 4 * b)
-    assert roomy.size < got.size
-
-
-def test_jump_limbs_thin_blocks_hand_back_their_lanes(limb_tables, monkeypatch):
-    # A block hands back every lane still jumping once fewer than
-    # LIMB_MIN_LIVE are: a superset of the lanes it would give back
-    # without thinning, and everything when the block starts thinner.
-    table = limb_tables[20]
-    starts = list(range(2**62 + 1, 2**62 + 2001))
-    monkeypatch.setattr(_kernels, "LIMB_MIN_LIVE", 1)
-    plain = set(_kernels.jump_limbs(starts, table, 50).tolist())
-    monkeypatch.setattr(_kernels, "LIMB_MIN_LIVE", 100)
-    thin = _kernels.jump_limbs(starts, table, 50)
-    assert plain < set(thin.tolist())
-    assert np.array_equal(thin, np.sort(thin))
-    monkeypatch.setattr(_kernels, "LIMB_MIN_LIVE", len(starts) + 1)
-    assert np.array_equal(_kernels.jump_limbs(starts, table, 50), np.arange(len(starts)))
+    ms = [j * b + d for j in (1, 2, 3, 4) for d in (-1, 0, 1)]
+    starts = [(1 << m) - 1 for m in ms]
+    stops, outgrown = set(), 0
+    for m, n in zip(ms, starts):
+        x, top, t = n, (-(-m // b) + 1) * b, 0
+        while x >= n:
+            x, t = k_step(table, x), t + 1
+            outgrown += x.bit_length() > top
+        stops |= {t, t + 1}
+    assert outgrown
+    for max_jumps in sorted(stops):
+        want = ref.jump_limbs(starts, k, max_jumps)
+        assert np.array_equal(_kernels.jump_limbs(starts, table, max_jumps), want)
+        alone = [i for i, n in enumerate(starts)
+                 if _kernels.jump_limbs([n], table, max_jumps).size]
+        assert alone == want.tolist()
