@@ -49,19 +49,14 @@ def _show(args, subject, **views) -> None:
 
 
 def _limits(args) -> IterationLimits:
-    return IterationLimits(
-        max_steps=args.limit_steps
-        if getattr(args, "limit_steps", None) is not None
-        else DEFAULT_LIMITS.max_steps,
-        max_bits=args.limit_bits
-        if getattr(args, "limit_bits", None) is not None
-        else DEFAULT_LIMITS.max_bits,
-    )
+    return IterationLimits(args.limit_steps, args.limit_bits)
 
 
 def _add_limit_args(sub) -> None:
-    sub.add_argument("--limit-steps", type=int, default=None, help="step budget")
-    sub.add_argument("--limit-bits", type=int, default=None, help="value size budget in bits")
+    sub.add_argument("--limit-steps", type=int, default=DEFAULT_LIMITS.max_steps,
+                     help="step budget")
+    sub.add_argument("--limit-bits", type=int, default=DEFAULT_LIMITS.max_bits,
+                     help="value size budget in bits")
 
 
 def _add_out_arg(sub) -> None:

@@ -175,7 +175,7 @@ class VerificationReport:
     of any kill/resume in between.  rechecked counts the starts handed
     to the exact recheck by the chunks this call ran, whichever process
     (the caller or a pool worker) ran them: the starts an int64 kernel
-    handed back (its int64 guard, or max_jumps jumps without falling
+    handed back (its int64 guard, or its jumps spent without falling
     below itself) and every start >= 2^63, each once.  Chunks credited
     from a checkpoint add none.  elapsed is wall time.
     """
@@ -221,29 +221,31 @@ def _plan_chunks(lo: int, hi: int, k: int, spans_per_chunk: int):
     return chunks
 
 
-def _run_chunk(table: SieveTable, chunk, max_jumps: int, recheck_steps: int):
+def _run_chunk(table: SieveTable, chunk, max_steps: int):
     """(checked, rechecked, counterexamples) of one chunk, rechecks included.
 
-    Starts >= 2^63, a span boundary for every k <= MAX_TABLE_K, do not
-    fit an int64 lane and go straight to the exact recheck.  Kernel
-    calls stay positional, for wrappers that take *args only.
+    The int64 kernels and the recheck both get ceil(max_steps / k)
+    jumps.  Starts >= 2^63, a span boundary for every k <= MAX_TABLE_K,
+    do not fit an int64 lane and go straight to the exact recheck.
+    Kernel calls stay positional, for wrappers that take *args only.
     """
     kind, a, b = chunk
     k = table.k
+    jumps = -(-max_steps // k)
     if kind == "dense":
-        checked, unresolved = _kernels.verify_dense(a, min(b, INT64_MAX), table, max_jumps)
+        checked, unresolved = _kernels.verify_dense(a, min(b, INT64_MAX), table, jumps)
         big = range(max(a, INT64_MAX + 1), b + 1)
         n_big = len(big)
     else:
         cut = (INT64_MAX + 1) >> k
-        checked, unresolved = _kernels.verify_span(a, min(b, cut), table, max_jumps)
+        checked, unresolved = _kernels.verify_span(a, min(b, cut), table, jumps)
         spans = range(max(a, cut), b)
         survivors = table.survivors.tolist() if spans else []
         big = ((q << k) + r for q in spans for r in survivors)
         n_big = len(spans) * table.survivors.size
     starts = chain(unresolved.tolist(), big)
     return int(checked) + n_big, int(unresolved.size) + n_big, _exact_recheck(
-        table, starts, recheck_steps)
+        table, starts, max_steps)
 
 
 _WORKER_TABLE: SieveTable | None = None
@@ -256,8 +258,8 @@ def _worker_init(table: SieveTable) -> None:
     _WORKER_TABLE = table
 
 
-def _worker_run(chunk, max_jumps, recheck_steps):
-    return _run_chunk(_WORKER_TABLE, chunk, max_jumps, recheck_steps)
+def _worker_run(chunk, max_steps):
+    return _run_chunk(_WORKER_TABLE, chunk, max_steps)
 
 
 def _exact_recheck(table: SieveTable, starts, max_steps: int) -> list[tuple[int, str]]:
@@ -305,7 +307,7 @@ def _write_checkpoint(path, k, lo, hi, spans_per_chunk, next_chunk, counterexamp
     os.replace(tmp, path)
 
 
-def _read_checkpoint(path, table, lo, hi, spans_per_chunk, chunks, recheck_steps):
+def _read_checkpoint(path, table, lo, hi, spans_per_chunk, chunks, max_steps):
     """(next_chunk, counterexamples) of a checkpoint written for this exact plan.
 
     The chunk index means something only against the chunk plan that
@@ -314,7 +316,7 @@ def _read_checkpoint(path, table, lo, hi, spans_per_chunk, chunks, recheck_steps
     0..len(chunks).  Only the chunks before it can have listed a
     counterexample: a listed one must be a start the plan follows, below
     the first start of the chunk at the index, in ascending order, and
-    still open, for the reason given, under this run's recheck budget.
+    still open, for the reason given, under this run's max_steps.
     """
     k = table.k
     with open(path) as fh:
@@ -346,14 +348,14 @@ def _read_checkpoint(path, table, lo, hi, spans_per_chunk, chunks, recheck_steps
     survivors = set(table.survivors.tolist()) if cex else ()
     followed = [n for n in nums if lo <= n < first[nxt] and (
         chunks[bisect_right(first, n) - 1][0] == "dense" or n % (1 << k) in survivors)]
-    if followed != sorted(set(nums)) or _exact_recheck(table, nums, recheck_steps) != cex:
+    if followed != sorted(set(nums)) or _exact_recheck(table, nums, max_steps) != cex:
         raise CheckpointMismatchError(
             "checkpoint lists counterexamples that its first %d chunks did not leave open"
             % nxt)
     return nxt, cex
 
 
-def _run_pool(table, chunks, pending, max_jumps, recheck_steps, workers, commit):
+def _run_pool(table, chunks, pending, max_steps, workers, commit):
     """Run chunks on a process pool and commit their results in plan order.
 
     At most 2 * workers chunks are in flight ahead of the commit point;
@@ -370,7 +372,7 @@ def _run_pool(table, chunks, pending, max_jumps, recheck_steps, workers, commit)
         def submit():
             i = next(todo, None)
             if i is not None:
-                fut = pool.submit(_worker_run, chunks[i], max_jumps, recheck_steps)
+                fut = pool.submit(_worker_run, chunks[i], max_steps)
                 inflight.append((i, fut))
 
         try:
@@ -393,8 +395,7 @@ def verify_range(
     workers: int = 1,
     checkpoint_path=None,
     spans_per_chunk: int = 256,
-    max_jumps: int = 10_000,
-    recheck_steps: int = 10**6,
+    max_steps: int = 10**6,
     on_progress=None,
     table: SieveTable | None = None,
 ) -> VerificationReport:
@@ -415,14 +416,15 @@ def verify_range(
     that is sound: T^k(q * 2^k + r) = 3^c(r) * q + s(r) is exact for
     every q >= 0, so every value seen at a boundary is a true iterate
     of the start.  Testing only boundaries can miss an earlier dip,
-    which costs jumps but never soundness, and changes an outcome only
-    through the budgets: max_jumps hands a start on to the exact
-    recheck, whose ceil(recheck_steps / k) jumps can differ from a
-    recheck_steps-step walk only for a start that needs about
-    recheck_steps steps (_exact_recheck says exactly when).  So a listed
-    counterexample did not fall below itself within the budgets, and
-    every start not listed reaches [1, lo), the 1-2 loop or the orbit
-    of a listed start; with none listed, all of [lo, hi] reaches 1.
+    which costs jumps but never soundness.
+
+    A start n is listed exactly when none of its first J = ceil(max_steps
+    / k) jump boundaries, after 0, k, ..., (J - 1) k steps, is below
+    max(n, 3).  The int64 kernels and the recheck both make J jumps and
+    test those boundaries, so a start a kernel hands back, for its int64
+    guard or its spent jumps, gets the same verdict from the recheck.
+    Every start not listed reaches [1, lo), the 1-2 loop or the orbit of
+    a listed start; with none listed, all of [lo, hi] reaches 1.
 
     A checkpoint file, when given, is rewritten atomically after every
     chunk so an interrupted run resumes where it stopped and still
@@ -438,6 +440,8 @@ def verify_range(
         raise ValueError("workers must be >= 1, got %r" % (workers,))
     if spans_per_chunk < 1:
         raise ValueError("spans_per_chunk must be >= 1, got %r" % (spans_per_chunk,))
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0, got %r" % (max_steps,))
     t0 = time.monotonic()
     if table is None:
         table = build_table(k)
@@ -448,7 +452,7 @@ def verify_range(
     cex: list[tuple[int, str]] = []
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         start_chunk, cex = _read_checkpoint(checkpoint_path, table, lo, hi, spans_per_chunk,
-                                            chunks, recheck_steps)
+                                            chunks, max_steps)
     checked_dense = 0
     checked_survivors = 0
     rechecked = 0
@@ -475,9 +479,9 @@ def verify_range(
     pending = list(range(start_chunk, len(chunks)))
     if workers == 1 or len(pending) <= 1:
         for i in pending:
-            commit(i, *_run_chunk(table, chunks[i], max_jumps, recheck_steps))
+            commit(i, *_run_chunk(table, chunks[i], max_steps))
     else:
-        _run_pool(table, chunks, pending, max_jumps, recheck_steps, workers, commit)
+        _run_pool(table, chunks, pending, max_steps, workers, commit)
     total = hi - lo + 1
     return VerificationReport(
         lo=lo,

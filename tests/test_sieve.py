@@ -21,7 +21,7 @@ from collatz_lab import (
 )
 from collatz_lab import _kernels, cli, sieve
 from collatz_lab.maps import t_step
-from collatz_lab.sieve import _plan_chunks
+from collatz_lab.sieve import MAX_TABLE_K, _plan_chunks
 
 KNOWN_SURVIVOR_COUNTS = (
     1, 1, 2, 3, 4, 8, 13, 19, 38, 64, 128, 226, 367, 734, 1295, 2114,
@@ -91,6 +91,19 @@ class TestTable:
             assert np.array_equal(a, b), field
         assert got.rescued == want.rescued
 
+    def test_wide_tables_at_both_ends_and_block_seams(self, wide_table):
+        # build_table composes c and s in blocks of 2^14 residues; the
+        # reference build above stops at k = 20.
+        k = wide_table.k
+        seams = [h << 14 for h in (1, 2, 1 << (k - 15), (1 << (k - 14)) - 1)]
+        for r in [0, (1 << k) - 1] + [r for h in seams for r in (h - 1, h)]:
+            _assert_row_walks(wide_table, r)
+
+    @settings(max_examples=100, deadline=None)
+    @given(r=st.integers(0, (1 << MAX_TABLE_K) - 1))
+    def test_wide_table_rows_match_a_plain_walk(self, wide_table, r):
+        _assert_row_walks(wide_table, r % (1 << wide_table.k))
+
     def test_rejects_out_of_range_width(self):
         with pytest.raises(ValueError):
             build_table(0)
@@ -118,6 +131,21 @@ class TestTable:
                 if x < n:
                     break
             assert x < n
+
+
+@pytest.fixture(scope="module", params=range(21, MAX_TABLE_K + 1), ids=lambda k: "k%d" % k)
+def wide_table(request, limb_tables):
+    k = request.param
+    return limb_tables[k] if k in limb_tables else build_table(k)
+
+
+def _assert_row_walks(table, r):
+    """c[r] and s[r] are the odd count of r's first k steps and T^k(r)."""
+    x, c = r, 0
+    for _ in range(table.k):
+        c += x & 1
+        x = t_step(x)
+    assert (int(table.c[r]), int(table.s[r])) == (c, x), r
 
 
 class TestKStep:
@@ -238,18 +266,32 @@ def _fields(report):
     return doc
 
 
+def _handing_back(table):
+    """The table with qmax[1:] zero: an int64 lane jumping with q >= 1 and c >= 1 is handed back.
+
+    limb_bits reads only qmax[0], so the exact recheck is unchanged.
+    """
+    qmax = table.qmax.copy()
+    qmax[1:] = 0
+    return dataclasses.replace(table, qmax=qmax)
+
+
+_HANDING_BACK = {k: _handing_back(build_table(k)) for k in (12, 16)}
+
+
 class TestForcedRecheck:
-    # Case 1 has small budgets.  With recheck_steps = 1 (mod k) the last
-    # jump boundary is the last step the one-step walk reaches.  Falling
-    # below the start is not absorbing (2463 is below itself at steps
-    # 21-27 and 54, and above it at every multiple of 16 up to 96), so
-    # the walker tests the same boundaries as the jumps.  Near 2^62 the
-    # int64 guard hands starts back.
+    # Cases 0, 1 and 3 force hand-backs through the int64 guard of a
+    # table from _handing_back; near 2^62 (case 2) the real guard hands
+    # starts back.  Case 1 has a small budget.  With max_steps = 1
+    # (mod k) the last jump boundary is the last step the one-step walk
+    # reaches.  Falling below the start is not absorbing (2463 is below
+    # itself at steps 21-27 and 54, and above it at every multiple of 16
+    # up to 96), so the walker tests the same boundaries as the jumps.
     CASES = [
-        dict(lo=1, hi=2 * 10**5, k=16, max_jumps=1),
-        dict(lo=1, hi=2 * 10**5, k=16, max_jumps=1, recheck_steps=16 * 6 + 1),
+        dict(lo=1, hi=2 * 10**5, k=16, table=_HANDING_BACK[16]),
+        dict(lo=1, hi=2 * 10**5, k=16, max_steps=16 * 6 + 1, table=_HANDING_BACK[16]),
         dict(lo=1 << 62, hi=(1 << 62) + (1 << 18) - 1, k=12, spans_per_chunk=16),
-        dict(lo=(1 << 62) + 5, hi=(1 << 62) + (1 << 16), k=12, max_jumps=2),
+        dict(lo=(1 << 62) + 5, hi=(1 << 62) + (1 << 16), k=12, table=_HANDING_BACK[12]),
     ]
 
     @pytest.mark.parametrize("case", CASES, ids=range(len(CASES)))
@@ -331,30 +373,27 @@ class TestDenseWindows:
         k=st.sampled_from([4, 8, 12]),
         lo=st.integers(2, 1 << 20),
         length=st.integers(0, 600),
-        max_jumps=st.integers(0, 30),
-        recheck_steps=st.integers(0, 300),
+        max_steps=st.integers(0, 300),
         workers=st.sampled_from([1, 2]),
     )
-    def test_verdicts_match_a_plain_descent(self, k, lo, length, max_jumps, recheck_steps,
-                                             workers):
+    def test_verdicts_match_a_plain_descent(self, k, lo, length, max_steps, workers):
         # A window shorter than 2^k - 1 holds no whole span, so every
         # start is dense, in one chunk that verify_range runs in process
-        # for either worker count.  The kernel tests the first max_jumps jump
-        # boundaries and the recheck the first ceil(recheck_steps / k);
-        # below 2^21 no orbit nears the int64 guard, so a start n is left
-        # open exactly when a plain t_step walk is at or above max(n, 3)
-        # at every one of the first max(max_jumps, ceil(recheck_steps / k))
-        # boundaries.
+        # for either worker count.  A start n is left open exactly when
+        # a plain t_step walk is at or above max(n, 3) at every one of
+        # its first ceil(max_steps / k) jump boundaries.  No orbit here
+        # nears the int64 guard, and the kernel spends the same jumps as
+        # the recheck, so it hands back exactly the open starts.
         hi = lo + min(length, (1 << k) - 2)
         assert all(kind == "dense" for kind, _, _ in _plan_chunks(lo, hi, k, 256))
-        report = verify_range(lo, hi, k=k, workers=workers, max_jumps=max_jumps,
-                              recheck_steps=recheck_steps)
-        boundaries = max(max_jumps, -(-recheck_steps // k))
-        reason = "no-descent-within-%d-steps" % recheck_steps
+        report = verify_range(lo, hi, k=k, workers=workers, max_steps=max_steps)
+        boundaries = -(-max_steps // k)
+        reason = "no-descent-within-%d-steps" % max_steps
         want = [(n, reason) for n in range(lo, hi + 1)
                 if _open_at_boundaries(n, max(n, 3), k, boundaries)]
         assert report.checked_dense == hi - lo + 1
         assert list(report.counterexamples) == want
+        assert report.rechecked == len(want)
 
 
 class TestSurvivorWindows:
@@ -366,40 +405,36 @@ class TestSurvivorWindows:
         lo=st.integers(1, 1 << 20),
         top=st.booleans(),
         cut=st.integers(0, 1 << 16),
-        max_jumps=st.integers(0, 12),
-        recheck_steps=st.integers(0, 150),
+        max_steps=st.integers(0, 150),
         workers=st.sampled_from([1, 2]),
         spans_per_chunk=st.sampled_from([1, 256]),
     )
-    def test_verdicts_match_a_plain_descent(self, k, spans, tail, lo, top, cut, max_jumps,
-                                            recheck_steps, workers, spans_per_chunk):
+    def test_verdicts_match_a_plain_descent(self, k, spans, tail, lo, top, cut, max_steps,
+                                            workers, spans_per_chunk):
         # A window of at least 2^(k+1) - 1 starts holds a whole survivor
-        # span, so both kernels, the pool and the recheck all run.  Low
-        # windows never near the int64 guard, so a start n is open
-        # exactly when a plain t_step walk is at or above max(n, 3) at
-        # each of its first max(max_jumps, ceil(recheck_steps / k)) jump
-        # boundaries.  Windows across 2^63 send every start above it
-        # straight to the recheck, and the kernel may hand a start below
-        # it back at any boundary; with max_jumps no larger than the
-        # recheck's ceil(recheck_steps / k) jumps, the recheck's
-        # boundaries are then the ones that decide.
+        # span, so both kernels, the pool and the recheck all run.
+        # Windows across 2^63 send every start above it straight to the
+        # recheck, and the kernel may hand a start below it back at any
+        # boundary.  Either way a start n is open exactly when a plain
+        # t_step walk is at or above max(n, 3) at each of its first
+        # ceil(max_steps / k) jump boundaries.  Low windows never near the
+        # int64 guard, so there the kernels hand back exactly those.
         length = ((spans + 1) << k) + tail % (1 << k)
         if top:
             lo = 2**63 - 1 - cut % (length - 1)
         hi = lo + length - 1
-        jumps = -(-recheck_steps // k)
-        if top:
-            max_jumps = min(max_jumps, jumps)
-        report = verify_range(lo, hi, k=k, workers=workers, max_jumps=max_jumps,
-                              recheck_steps=recheck_steps, spans_per_chunk=spans_per_chunk)
-        boundaries = max(max_jumps, jumps)
-        reason = "no-descent-within-%d-steps" % recheck_steps
+        report = verify_range(lo, hi, k=k, workers=workers, max_steps=max_steps,
+                              spans_per_chunk=spans_per_chunk)
+        boundaries = -(-max_steps // k)
+        reason = "no-descent-within-%d-steps" % max_steps
         planned = list(_planned_starts(lo, hi, k))
         want = [(n, reason) for n in planned
                 if _open_at_boundaries(n, max(n, 3), k, boundaries)]
         assert report.checked_survivors > 0
         assert report.checked_dense + report.checked_survivors == len(planned)
         assert list(report.counterexamples) == want
+        if not top:
+            assert report.rechecked == len(want)
         # The old floor, below max(lo, 3), stops no lane the new one does not.
         old = [(n, reason) for n in planned
                if _open_at_boundaries(n, max(lo, 3), k, boundaries)]
@@ -480,13 +515,23 @@ class TestVerifyRange:
             verify_range(1, 10**5, k=12, spans_per_chunk=spans)
 
     def test_forced_recheck_path_keeps_counts(self):
-        # max_jumps=1 starves the jump kernel so survivors surface as
-        # unresolved and go through the exact big-int recheck.
+        # The int64 guard of a _handing_back table hands survivors back,
+        # so they go through the exact limb recheck.
         normal = verify_range(1, 2 * 10**5, k=16)
-        starved = verify_range(1, 2 * 10**5, k=16, max_jumps=1)
-        assert starved.rechecked > 0
-        assert starved.counterexamples == normal.counterexamples == ()
-        assert starved.checked_survivors == normal.checked_survivors
+        handed = verify_range(1, 2 * 10**5, k=16, table=_HANDING_BACK[16])
+        assert handed.rechecked > 0
+        assert handed.counterexamples == normal.counterexamples == ()
+        assert handed.checked_survivors == normal.checked_survivors
+
+    def test_rejects_a_negative_step_budget(self):
+        # A negative budget would credit starts 1 and 2 without a jump.
+        with pytest.raises(ValueError, match="max_steps"):
+            verify_range(1, 10, k=4, max_steps=-5)
+
+    def test_zero_step_budget_lists_every_start(self):
+        report = verify_range(1, 10, k=4, max_steps=0)
+        assert report.counterexamples == tuple(
+            (n, "no-descent-within-0-steps") for n in range(1, 11))
 
     def test_workers_use_the_given_table(self, monkeypatch):
         table = build_table(12)
@@ -655,7 +700,7 @@ class TestCheckpoint:
         # counterexample; one from a later chunk is a real one of this
         # plan (the small budgets leave some in every chunk), but no
         # credited chunk produced it.
-        kw = dict(k=8, spans_per_chunk=4, max_jumps=1, recheck_steps=20)
+        kw = dict(k=8, spans_per_chunk=4, max_steps=20)
         path = tmp_path / "check.txt"
         fresh = verify_range(1, 5000, **kw)
         assert _plan_chunks(1, 5000, 8, 4)[2] == ("spans", 5, 9)
@@ -693,7 +738,7 @@ class TestCheckpoint:
         assert "chunk -1" in capsys.readouterr().err
 
 
-_CORRUPT_PLAN = dict(lo=1, hi=5000, k=8, spans_per_chunk=4, max_jumps=1, recheck_steps=20)
+_CORRUPT_PLAN = dict(lo=1, hi=5000, k=8, spans_per_chunk=4, max_steps=20)
 _DETERMINISTIC = ("checked_dense", "checked_survivors", "skipped", "counterexamples",
                   "chunks_total")
 
@@ -746,7 +791,7 @@ class TestCorruptCheckpoint:
         _, texts, path = corruptible
         table = build_table(8)
         assert 297 % 256 not in table.survivors
-        assert sieve._exact_recheck(table, [297], _CORRUPT_PLAN["recheck_steps"])
+        assert sieve._exact_recheck(table, [297], _CORRUPT_PLAN["max_steps"])
         assert "\n283 " in texts["finished"] and "\n297 " not in texts["finished"]
         path.write_text(texts["finished"].replace("\n283 ", "\n297 "))
         with pytest.raises(CheckpointMismatchError, match="first 7 chunks"):
