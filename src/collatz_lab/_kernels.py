@@ -15,11 +15,12 @@ are those of the plain one-start-at-a-time loop, applied per lane:
 
 verify_span and verify_dense jump with one sieve.SieveTable (k, c, s,
 pow3, qmax, survivors) and take no floor: no range bound moves a stop.
-jump_limbs applies the same jumps to starts of any size, each held as
-int64 limbs of limb_bits(table) bits.  It hands nothing back: a block
-gains a limb when a jump carries out of its top one, and every lane
-jumps until it resolves or spends its budget.  It is the whole of
-sieve._exact_recheck.
+jump_limbs, the whole of sieve._exact_recheck, applies the same jumps
+to starts of any size as int64 limbs of limb_bits(table) bits.  It
+hands nothing back: a block gains a limb when a jump carries out of
+its top one, and every lane jumps until it resolves or spends its
+budget.  Its starts come as blocks (base, off), lanes base + off[i],
+from span_blocks (which verify_span jumps too) or int_blocks.
 
 dip is the one kernel behind two callers.  scan_sigma_peak runs it for
 T with floor 1 and step cap max_steps, and adds each start's walk to
@@ -42,13 +43,13 @@ happens to raise that threshold.  verify_span over the 76 spans of
 was freed); verify_dense on [1, 65535] took 6-12 and 5-8 ms.  The
 dip kernel keeps 2^16: its lanes stay live much longer, and at 2^14
 a scan to 10^6 took about 1.4x as long.  Arbitrary precision work
-lands here only in jump_limbs, as limbs whose every product stays
-inside int64 however wide a block grows; the verify chunks send it
-every start their int64 kernels hand back.
+lands here only in jump_limbs, whose every limb product stays inside
+int64 however wide a block grows.
 """
 
 from __future__ import annotations
 
+from itertools import groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -290,16 +291,31 @@ def verify_span(b0, b1, table, max_jumps):
     those that exhaust max_jumps or would overflow int64, in ascending
     order, for exact re-checking.
     """
+    unresolved = []
+    for base, off in span_blocks(b0, b1, table):
+        _jump_block(off + base, table, max_jumps, unresolved)
+    return max(b1 - b0, 0) * table.survivors.size, _ascending(unresolved)
+
+
+def span_blocks(b0, b1, table):
+    """The survivors of spans [b0, b1), ascending, as blocks (base, off) of VERIFY_LANES.
+
+    base = q0 * 2^k for the block's first span q0; off = (q - q0) * 2^k + r < 2^(k+15).
+    """
+    k = table.k
     width = table.survivors.size
     total = (b1 - b0) * width
-    checked = 0
-    unresolved = []
     for f0 in range(0, total, VERIFY_LANES):
-        flat = np.arange(f0, min(f0 + VERIFY_LANES, total), dtype=np.int64)
-        n = ((flat // width + b0) << table.k) + table.survivors[flat % width]
-        checked += n.size
-        _jump_block(n, table, max_jumps, unresolved)
-    return checked, _ascending(unresolved)
+        flat = np.arange(f0 % width, f0 % width + min(VERIFY_LANES, total - f0), dtype=np.int64)
+        yield (b0 + f0 // width) << k, ((flat // width) << k) + table.survivors[flat % width]
+
+
+def int_blocks(nums):
+    """Ints >= 0 as (base, off) blocks, in order: runs of one n >> 62, at most VERIFY_LANES."""
+    for top, run in groupby(nums, lambda n: n >> 62):
+        run = [n - (top << 62) for n in run]
+        for i in range(0, len(run), VERIFY_LANES):
+            yield top << 62, np.array(run[i:i + VERIFY_LANES], np.int64)
 
 
 def verify_dense(n0, n1, table, max_jumps):
@@ -333,45 +349,19 @@ def limb_bits(table) -> int:
     return b
 
 
-def _start_words(starts):
-    """(w, bits): the starts' 64-bit words as (W, N) uint64, lowest first; the top bit length."""
-    try:  # numpy reads ints below 2^64 without a Python loop
-        w = np.fromiter(starts, np.uint64, len(starts)).reshape(1, -1)
-    except OverflowError:  # a start of 2^64 or more
-        size = -(-max(starts).bit_length() // 64)
-        buf = b"".join(n.to_bytes(8 * size, "little") for n in starts)
-        w = np.frombuffer(buf, dtype="<u8").reshape(-1, size).T.copy()
-    return w, 64 * (w.shape[0] - 1) + int(w[-1].max()).bit_length()
+def jump_limbs(base, off, table, max_jumps) -> np.ndarray:
+    """Positions, ascending, of the block's lanes that max_jumps limb jumps leave open.
 
-
-def _word_limbs(w, b, limbs) -> np.ndarray:
-    """The b-bit limbs of each column of words w, lowest first, as (limbs, N) int64."""
-    mask = (1 << b) - 1
-    out = np.zeros((limbs, w.shape[1]), np.int64)
-    for i in range(limbs):
-        j, off = divmod(i * b, 64)
-        if j >= w.shape[0]:
-            break
-        v = w[j] >> off
-        if off + b > 64 and j + 1 < w.shape[0]:
-            v |= w[j + 1] << (64 - off)
-        out[i] = v & mask
-    return out
-
-
-def jump_limbs(starts, table, max_jumps) -> np.ndarray:
-    """Positions, ascending, of the starts that max_jumps limb jumps leave open.
-
-    starts is one block of lanes, a non-empty list of Python ints >= 1
-    of any size (sieve._exact_recheck passes VERIFY_LANES at a time).  A
-    lane holds its start n and its iterate x as L limbs of B =
-    limb_bits(table) bits, one more than the block's largest start
-    needs, and jumps x -> 3^c(r) * (x >> k) + s(r), r = x mod 2^k, limb
-    by limb: the limbs of x >> k are shifted across one limb boundary,
-    each is multiplied by 3^c, s(r) is added to limb 0 and the carries
-    run up.  A lane resolves at the first jump boundary whose x is below
-    max(n, 3), read from the borrow out of the top limb of x - n; the
-    last jump's result is never tested.
+    The lanes' starts are base + off[i] >= 1: base a Python int >= 0 of
+    any size, off a non-empty int64 array >= 0.  A lane holds its start
+    n and its iterate x as L limbs of B = limb_bits(table) bits, one
+    more than the block's largest start needs; n is base's limbs plus
+    off's, carried once.  It jumps x -> 3^c(r) * (x >> k) + s(r), r = x
+    mod 2^k, limb by limb: the limbs of x >> k are shifted across one
+    limb boundary, each is multiplied by 3^c, s(r) is added to limb 0
+    and the carries run up.  A lane resolves at the first jump boundary
+    whose x is below max(n, 3), read from the borrow out of the top limb
+    of x - n; the last jump's result is never tested.
 
     A jump that carries out of some lane's top limb widens the block:
     x gains the bits above B of its top limb as a new limb, n a zero.
@@ -386,11 +376,15 @@ def jump_limbs(starts, table, max_jumps) -> np.ndarray:
     b = limb_bits(table)
     mask = (1 << b) - 1
     kmask = (1 << k) - 1
-    w, bits = _start_words(starts)
-    n = _word_limbs(w, b, -(-bits // b) + 1)
+    shift = b * np.arange(-(-(base + int(off.max())).bit_length() // b) + 1)
+    n = (off >> shift[:, None]) & mask
+    n += [[(base >> i) & mask] for i in shift.tolist()]
+    for i in range(1, shift.size):  # each limb sum is below 2^(B+1)
+        n[i] += n[i - 1] >> b
+    n[:-1] &= mask
     # 1 and 2 are <= 2 before any jump: open only when there is none
     lane = np.flatnonzero((n[0] >= 3) | n[1:].any(axis=0) | (max_jumps == 0))
-    x = n = n.take(lane, axis=1) if lane.size < len(starts) else n
+    x = n = n.take(lane, axis=1) if lane.size < n.shape[1] else n
     for j in range(max_jumps):
         if j:  # x >= n exactly when no borrow leaves the top limb of x - n
             borrow = 0

@@ -20,7 +20,7 @@ from bisect import bisect_right
 from collections import deque
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain
 
 import numpy as np
 
@@ -225,27 +225,27 @@ def _run_chunk(table: SieveTable, chunk, max_steps: int):
     """(checked, rechecked, counterexamples) of one chunk, rechecks included.
 
     The int64 kernels and the recheck both get ceil(max_steps / k)
-    jumps.  Starts >= 2^63, a span boundary for every k <= MAX_TABLE_K,
-    do not fit an int64 lane and go straight to the exact recheck.
-    Kernel calls stay positional, for wrappers that take *args only.
+    jumps.  The recheck takes the kernels' hand-backs as (0, off) blocks,
+    then every start >= 2^63 (a span boundary for every k <= MAX_TABLE_K),
+    which fits no int64 lane, in (base, off) blocks built as it reaches
+    them.  Kernel calls stay positional, for wrappers that take *args only.
     """
     kind, a, b = chunk
-    k = table.k
-    jumps = -(-max_steps // k)
+    jumps = -(-max_steps // table.k)
+    lanes = _kernels.VERIFY_LANES
     if kind == "dense":
         checked, unresolved = _kernels.verify_dense(a, min(b, INT64_MAX), table, jumps)
-        big = range(max(a, INT64_MAX + 1), b + 1)
-        n_big = len(big)
+        tail = range(max(a, INT64_MAX + 1), b + 1)
+        n_big = len(tail)
+        big = ((n, np.arange(min(lanes, b + 1 - n), dtype=np.int64)) for n in tail[::lanes])
     else:
-        cut = (INT64_MAX + 1) >> k
+        cut = (INT64_MAX + 1) >> table.k
         checked, unresolved = _kernels.verify_span(a, min(b, cut), table, jumps)
-        spans = range(max(a, cut), b)
-        survivors = table.survivors.tolist() if spans else []
-        big = ((q << k) + r for q in spans for r in survivors)
-        n_big = len(spans) * table.survivors.size
-    starts = chain(unresolved.tolist(), big)
+        n_big = max(b - max(a, cut), 0) * int(table.survivors.size)
+        big = _kernels.span_blocks(max(a, cut), b, table)
+    small = ((0, unresolved[i:i + lanes]) for i in range(0, unresolved.size, lanes))
     return int(checked) + n_big, int(unresolved.size) + n_big, _exact_recheck(
-        table, starts, max_steps)
+        table, chain(small, big), max_steps)
 
 
 _WORKER_TABLE: SieveTable | None = None
@@ -262,7 +262,7 @@ def _worker_run(chunk, max_steps):
     return _run_chunk(_WORKER_TABLE, chunk, max_steps)
 
 
-def _exact_recheck(table: SieveTable, starts, max_steps: int) -> list[tuple[int, str]]:
+def _exact_recheck(table: SieveTable, blocks, max_steps: int) -> list[tuple[int, str]]:
     """Follow each start exactly; (n, reason) of those left open, in input order.
 
     A start n resolves when an iterate at a jump boundary, x after 0,
@@ -279,20 +279,18 @@ def _exact_recheck(table: SieveTable, starts, max_steps: int) -> list[tuple[int,
     than max_steps - k steps, or one whose orbit dips below itself and
     is back above it at every boundary until the jumps run out.
 
-    _kernels.jump_limbs makes the jumps, one block of VERIFY_LANES
-    starts at a time, in numpy lanes of int64 limbs that widen as an
-    orbit grows.  limb_bits keeps every limb product, carry and sum
-    below 2^63, so each boundary value it tests is the exact integer,
-    and it tests the same boundaries (0 .. ceil(max_steps / k) - 1) by
-    this rule.  Blocks keep the input order, and an empty input never
-    reaches the kernel.
+    The starts come in non-empty blocks (base, off) of at most
+    VERIFY_LANES lanes base + off[i] (_kernels.int_blocks makes them from
+    ints), which _kernels.jump_limbs jumps in int64 limbs that widen as
+    an orbit grows.  limb_bits keeps every limb product, carry and sum
+    below 2^63, so each boundary value it tests is the exact integer, and
+    it tests the same boundaries (0 .. ceil(max_steps / k) - 1) by this
+    rule.  Only open lanes become ints; an empty input never reaches the kernel.
     """
-    todo = iter(starts)
-    blocks = iter(lambda: list(islice(todo, _kernels.VERIFY_LANES)), [])
     jumps = -(-max_steps // table.k)
     reason = "no-descent-within-%d-steps" % max_steps
-    return [(block[i], reason) for block in blocks
-            for i in _kernels.jump_limbs(block, table, jumps).tolist()]
+    return [(base + i, reason) for base, off in blocks
+            for i in off.take(_kernels.jump_limbs(base, off, table, jumps)).tolist()]
 
 
 def _write_checkpoint(path, k, lo, hi, spans_per_chunk, next_chunk, counterexamples) -> None:
@@ -348,7 +346,8 @@ def _read_checkpoint(path, table, lo, hi, spans_per_chunk, chunks, max_steps):
     survivors = set(table.survivors.tolist()) if cex else ()
     followed = [n for n in nums if lo <= n < first[nxt] and (
         chunks[bisect_right(first, n) - 1][0] == "dense" or n % (1 << k) in survivors)]
-    if followed != sorted(set(nums)) or _exact_recheck(table, nums, max_steps) != cex:
+    if followed != sorted(set(nums)) or _exact_recheck(
+            table, _kernels.int_blocks(nums), max_steps) != cex:
         raise CheckpointMismatchError(
             "checkpoint lists counterexamples that its first %d chunks did not leave open"
             % nxt)

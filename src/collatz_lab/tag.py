@@ -133,6 +133,8 @@ def run_tag(
     budget stops a cycling run.  The word lives in one bytearray with
     a moving head, so a step costs amortized O(production length).
     """
+    if min(max_steps, max_length) < 0:
+        raise ValueError("max_steps, max_length must be >= 0, got %r, %r" % (max_steps, max_length))
     system.validate_word(word)
     if target is not None:
         system.validate_word(target)

@@ -31,6 +31,10 @@ class IterationLimits:
     max_steps: int = 10**6
     max_bits: int = 10**5
 
+    def __post_init__(self):
+        if min(self.max_steps, self.max_bits) < 0:
+            raise ValueError("iteration limits must be >= 0, got %r" % (self,))
+
 
 DEFAULT_LIMITS = IterationLimits()
 

@@ -91,6 +91,13 @@ class TestTraj:
         assert code == 1
         assert "error" in err
 
+    @pytest.mark.parametrize("flag, value", [("--limit-steps", "-5"), ("--limit-bits", "-1")])
+    def test_negative_limit_is_input_error(self, capsys, flag, value):
+        code, out, err = run_cli(capsys, "traj", "27", flag, value)
+        assert code == 1
+        assert out == ""
+        assert "must be >= 0" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         code, out, _ = run_cli(capsys, "traj", "27", "--format", "csv",
@@ -315,6 +322,13 @@ class TestTag:
         code, _, _ = run_cli(capsys, "tag", "run", "--system", "post",
                              "--initial", "00000000", "--max-steps", "2")
         assert code == 2
+
+    @pytest.mark.parametrize("flag", ["--max-steps", "--max-length"])
+    def test_run_negative_budget_is_input_error(self, capsys, flag):
+        code, out, err = run_cli(capsys, "tag", "run", "--zeros", "5", flag, "-1")
+        assert code == 1
+        assert out == ""
+        assert "must be >= 0" in err
 
     def test_run_from_file(self, capsys, tmp_path):
         path = tmp_path / "sys.tag"

@@ -276,18 +276,53 @@ def test_limb_bits_is_the_widest_safe_limb(limb_tables):
     assert _kernels.limb_bits(limb_tables[24]) == 24
 
 
-@settings(max_examples=100, deadline=None)
-@given(
-    bits=st.sampled_from([24, 31, 37, 61]),
-    starts=st.lists(st.integers(1, 1 << 64) | st.integers(1, 1 << 200), min_size=1, max_size=20),
-)
-def test_start_words_and_limbs_rebuild_each_start(bits, starts):
-    w, top = _kernels._start_words(starts)
-    assert top == max(starts).bit_length()
-    limbs = _kernels._word_limbs(w, bits, -(-top // bits) + 1)
-    assert limbs.dtype == np.int64
-    assert limbs.min() >= 0 and limbs.max() < 1 << bits
-    assert [sum(int(v) << (bits * i) for i, v in enumerate(col)) for col in limbs.T] == starts
+def _open_positions(starts, table, max_jumps):
+    """The open positions of jump_limbs over the starts' int_blocks, as positions in starts."""
+    out, at = [], 0
+    for base, off in _kernels.int_blocks(starts):
+        got = _kernels.jump_limbs(base, off, table, max_jumps)
+        assert got.dtype == np.int64
+        out += (got + at).tolist()
+        at += off.size
+    assert at == len(starts)
+    return np.array(out, np.int64)
+
+
+@pytest.mark.parametrize("lanes", [16, 1 << 14])
+@pytest.mark.parametrize("k, b0", [(12, 1), (12, (1 << 51) - 3), (16, 1 << 80)])
+def test_span_blocks_list_every_survivor_in_order(k, b0, lanes, monkeypatch):
+    # Windows at q = 1, just below the k=12 cut of 2^63 (q = 2^51) and
+    # at 2^80, where no start fits an int64 lane.
+    monkeypatch.setattr(_kernels, "VERIFY_LANES", lanes)
+    table = _table(k)
+    survivors = table.survivors.tolist()
+    b1 = b0 + 3
+    got = []
+    for base, off in _kernels.span_blocks(b0, b1, table):
+        assert off.dtype == np.int64 and 0 < off.size <= lanes
+        assert base % (1 << k) == 0 and 0 <= off.min() and off.max() < 1 << (k + 15)
+        got += [base + i for i in off.tolist()]
+    assert got == [(q << k) + r for q in range(b0, b1) for r in survivors]
+
+
+@pytest.mark.parametrize("k", [1, 12, 20, 24])
+@pytest.mark.parametrize("case", ["carry", "hand-backs"])
+def test_jump_limbs_adds_the_limbs_of_base_and_off(limb_tables, k, case):
+    table = limb_tables[k]
+    if case == "carry":
+        # base = 2^(2B) - 5 has limbs (2^B - 5, 2^B - 1, 0): adding off >= 5
+        # to limb 0 carries through limb 1 into limb 2.
+        base = (1 << (2 * _kernels.limb_bits(table))) - 5
+        off = np.arange(12, dtype=np.int64)
+    else:
+        # A verify chunk passes its int64 hand-backs as (0, off), with off
+        # up to 2^63 - 1 and 1 and 2 in the same block.
+        base = 0
+        off = np.array([2**63 - 1, 1, 2**63 - 25, 2, 27, 2**62 + 3], np.int64)
+    starts = [base + i for i in off.tolist()]
+    for max_jumps in range(8):
+        got = _kernels.jump_limbs(base, off, table, max_jumps)
+        assert np.array_equal(got, ref.jump_limbs(starts, k, max_jumps))
 
 
 @settings(max_examples=80, deadline=None)
@@ -300,6 +335,9 @@ def test_start_words_and_limbs_rebuild_each_start(bits, starts):
     cut=st.integers(0, 150),
     max_jumps=st.integers(0, 12),
 )
+# 1 and 2 share a base-0 block with starts just below 2^62
+@example(k=20, base=2**62, offset=-300, edge=False, length=150, cut=60, max_jumps=12)
+@example(k=20, base=2**62, offset=-300, edge=False, length=150, cut=60, max_jumps=0)
 def test_jump_limbs_property(limb_tables, k, base, offset, edge, length, cut, max_jumps):
     # A lane's fate depends on its own walk alone: the reference walks
     # every start one step at a time.  An edge window ends at
@@ -312,8 +350,7 @@ def test_jump_limbs_property(limb_tables, k, base, offset, edge, length, cut, ma
         base, offset = (1 << (b * -(-base.bit_length() // b))) - length, -(abs(offset) % 8)
     starts = list(range(base + offset, base + offset + length))
     starts = starts[:cut] + [2, 1] + starts[cut:]
-    got = _kernels.jump_limbs(starts, table, max_jumps)
-    assert got.dtype == np.int64
+    got = _open_positions(starts, table, max_jumps)
     assert np.array_equal(got, ref.jump_limbs(starts, k, max_jumps))
 
 
@@ -339,7 +376,7 @@ def test_jump_limbs_widens_on_top_limb_carry(limb_tables, k):
     assert outgrown
     for max_jumps in sorted(stops):
         want = ref.jump_limbs(starts, k, max_jumps)
-        assert np.array_equal(_kernels.jump_limbs(starts, table, max_jumps), want)
+        assert np.array_equal(_open_positions(starts, table, max_jumps), want)
         alone = [i for i, n in enumerate(starts)
-                 if _kernels.jump_limbs([n], table, max_jumps).size]
+                 if _open_positions([n], table, max_jumps).size]
         assert alone == want.tolist()

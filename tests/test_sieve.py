@@ -186,7 +186,7 @@ class TestExactRecheck:
         # The jump walk tests x after 0, k, 2k, ... steps, ceil(max_steps / k)
         # times.  Whatever it resolves must reach an iterate below
         # max(n, 3) under plain t_step, within max_steps steps.
-        got = sieve._exact_recheck(_RECHECK_TABLES[k], [n], max_steps)
+        got = sieve._exact_recheck(_RECHECK_TABLES[k], _kernels.int_blocks([n]), max_steps)
         x = n
         boundary_hit = False
         for _ in range(-(-max_steps // k)):
@@ -203,13 +203,13 @@ class TestExactRecheck:
     def test_starts_above_int64_and_order_kept(self):
         table = _RECHECK_TABLES[12]
         starts = [(1 << 64) + 27, (1 << 70) - 1, 27, 3]
-        assert sieve._exact_recheck(table, starts, 10**6) == []
+        assert _recheck(table, starts, 10**6) == []
         # One jump tests only the start itself, so even 3 (four steps
         # from 2) stays open, where a 12-step walk would resolve it.
-        assert sieve._exact_recheck(table, starts, 12) == [
+        assert _recheck(table, starts, 12) == [
             (n, "no-descent-within-12-steps") for n in starts
         ]
-        assert sieve._exact_recheck(table, starts, 13) == [
+        assert _recheck(table, starts, 13) == [
             ((1 << 64) + 27, "no-descent-within-13-steps"),
             ((1 << 70) - 1, "no-descent-within-13-steps"),
             (27, "no-descent-within-13-steps"),
@@ -236,7 +236,7 @@ class TestLimbStage:
         table = limb_tables[k]
         with pytest.MonkeyPatch.context() as m:
             m.setattr(_kernels, "VERIFY_LANES", lanes)
-            got = sieve._exact_recheck(table, iter(starts), max_steps)
+            got = _recheck(table, starts, max_steps)
         assert got == _step_walker_recheck(table, starts, max_steps)
 
     def test_an_empty_recheck_skips_the_limb_stage(self, monkeypatch):
@@ -246,8 +246,18 @@ class TestLimbStage:
         with monkeypatch.context() as m:
             m.setattr(_kernels, "jump_limbs", refuse)
             assert sieve._exact_recheck(_RECHECK_TABLES[12], iter(()), 10**6) == []
-        assert sieve._exact_recheck(_RECHECK_TABLES[12], [5, 27, 1, 2], 0) == [
+        assert _recheck(_RECHECK_TABLES[12], [5, 27, 1, 2], 0) == [
             (n, "no-descent-within-0-steps") for n in (5, 27, 1, 2)]
+
+
+def _recheck(table, starts, max_steps):
+    """sieve._exact_recheck of Python ints, passed as int_blocks."""
+    return sieve._exact_recheck(table, _kernels.int_blocks(starts), max_steps)
+
+
+def _block_starts(blocks):
+    """The Python ints of (base, off) blocks, in order."""
+    return [base + i for base, off in blocks for i in off.tolist()]
 
 
 def _step_walker_recheck(table, starts, max_steps):
@@ -299,7 +309,8 @@ class TestForcedRecheck:
         got = verify_range(**case)
         assert got.rechecked > 0
         with monkeypatch.context() as m:
-            m.setattr(sieve, "_exact_recheck", _step_walker_recheck)
+            m.setattr(sieve, "_exact_recheck", lambda table, blocks, max_steps:
+                      _step_walker_recheck(table, _block_starts(blocks), max_steps))
             want = verify_range(**case)
         assert _fields(got) == _fields(want)
         duo = verify_range(**case, workers=2)
@@ -332,8 +343,8 @@ class TestAboveInt64:
     def test_every_start_above_int64_is_rechecked(self, case, monkeypatch):
         seen = []
 
-        def recording(table, starts, max_steps):
-            starts = list(starts)
+        def recording(table, blocks, max_steps):
+            starts = _block_starts(blocks)
             seen.extend(starts)
             return _step_walker_recheck(table, starts, max_steps)
 
@@ -630,6 +641,32 @@ class TestCheckpoint:
                       "counterexamples", "chunks_total"):
             assert getattr(fresh, field) == getattr(resumed, field)
 
+    @pytest.mark.parametrize("stop", [3, 5])
+    def test_resume_across_int64_keeps_counterexamples(self, tmp_path, stop):
+        # 179 of the 379 counterexamples lie below 2^63, so the resume's
+        # recheck of them takes two n >> 62 blocks.
+        plan = dict(lo=2**63 - 2**14 - 5, hi=2**63 + 2**14 + 5, k=12, spans_per_chunk=2,
+                    max_steps=40)
+        path = tmp_path / "check.txt"
+        fresh = verify_range(**plan)
+        assert (fresh.chunks_total, len(fresh.counterexamples)) == (6, 379)
+        assert sum(n < 2**63 for n, _ in fresh.counterexamples) == 179
+
+        class Stop(Exception):
+            pass
+
+        def bail(done, total, checked):
+            if done == stop:
+                raise Stop
+
+        with pytest.raises(Stop):
+            verify_range(**plan, checkpoint_path=str(path), on_progress=bail)
+        resumed = verify_range(**plan, checkpoint_path=str(path))
+        assert resumed.chunks_done_before == stop
+        for field in ("checked_dense", "checked_survivors", "skipped",
+                      "counterexamples", "chunks_total"):
+            assert getattr(resumed, field) == getattr(fresh, field)
+
     def test_mismatched_checkpoint_rejected(self, tmp_path):
         path = tmp_path / "check.txt"
         verify_range(1, 10**5, k=12, checkpoint_path=str(path))
@@ -791,7 +828,7 @@ class TestCorruptCheckpoint:
         _, texts, path = corruptible
         table = build_table(8)
         assert 297 % 256 not in table.survivors
-        assert sieve._exact_recheck(table, [297], _CORRUPT_PLAN["max_steps"])
+        assert _recheck(table, [297], _CORRUPT_PLAN["max_steps"])
         assert "\n283 " in texts["finished"] and "\n297 " not in texts["finished"]
         path.write_text(texts["finished"].replace("\n283 ", "\n297 "))
         with pytest.raises(CheckpointMismatchError, match="first 7 chunks"):

@@ -127,6 +127,14 @@ class TestRunTag:
         run = run_tag(collatz_tag(), "000", max_length=6, max_steps=10**4)
         assert run.outcome is TagOutcome.HIT_LENGTH_LIMIT
 
+    def test_rejects_a_negative_step_budget(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run_tag(post_tag(), "00000000", max_steps=-5)
+
+    def test_rejects_a_negative_length_budget(self):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            run_tag(collatz_tag(), "000", max_length=-1)
+
     def test_trace_records_every_step(self):
         run = run_tag(post_tag(), "0000", keep_trace=True)
         assert run.trace is not None

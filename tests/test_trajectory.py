@@ -82,6 +82,12 @@ class TestIterate:
         with pytest.raises(ValueError):
             iterate(t_map(), 0)
 
+    @pytest.mark.parametrize("steps, bits", [(-1, 4096), (10, -1), (-1, -1)])
+    def test_limits_refuse_a_negative_budget(self, steps, bits):
+        with pytest.raises(ValueError, match="must be >= 0"):
+            IterationLimits(steps, bits)
+        assert IterationLimits(0, 0) == IterationLimits(max_steps=0, max_bits=0)
+
     def test_peak_tracks_maximum(self):
         traj = iterate(t_map(), 97)
         assert traj.peak == max(traj.values)
