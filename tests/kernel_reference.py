@@ -7,6 +7,8 @@ build_table is the sieve table built by stepping every residue at
 once, and exact_recheck the one-step recheck walk; tests/test_sieve.py
 compares sieve.build_table and sieve._exact_recheck against them.
 jump_limbs walks each start of the limb kernel one step at a time.
+descend is stats._descend as it was before it took K-step jumps: one
+plain step per loop; tests/test_stats.py compares the two field by field.
 cycle_census follows every start with trajectory._follow, one at a
 time; tests/test_trajectory.py compares trajectory.cycle_census, which
 walks the starts through the dip kernel, against it.  scan_records
@@ -24,6 +26,7 @@ import math
 import numpy as np
 
 from collatz_lab._kernels import _OVF
+from collatz_lab.maps import t_step
 from collatz_lab.sieve import INT64_MAX, SieveTable
 from collatz_lab.stats import RecordScan, _scan_arrays
 from collatz_lab.trajectory import DEFAULT_LIMITS, CycleCensus, Outcome, _follow
@@ -165,6 +168,28 @@ def exact_recheck(n, max_steps, every=1):
             return None
         x = (3 * x + 1) >> 1 if x & 1 else x >> 1
     return "no-descent-within-%d-steps" % max_steps
+
+
+def descend(n, limits):
+    max_steps = limits.max_steps
+    max_bits = limits.max_bits
+    x = n
+    steps = 0
+    odd = 0
+    peak = 0
+    stop = None
+    while x != 1:
+        if x & 1:
+            odd += 1
+        x = t_step(x)
+        steps += 1
+        if x > peak:
+            peak = x
+        if stop is None and x < n:
+            stop = steps
+        if steps > max_steps or x.bit_length() > max_bits:
+            return None, odd, peak, stop
+    return steps, odd, peak, stop
 
 
 def cycle_census(map_, lo, hi, limits=DEFAULT_LIMITS, hash_budget=1 << 26):

@@ -1,6 +1,7 @@
 """Tests for orbit statistics: stopping times, ratios, censuses, record scans."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,10 +20,12 @@ from collatz_lab import (
     rho,
     rho_from_trajectory,
     scan_records,
+    stats,
     stopping_time,
     total_stopping_time,
 )
-from collatz_lab.maps import TABLE_BASE, t_map
+from collatz_lab.maps import TABLE_BASE, t_map, t_step
+from collatz_lab.trajectory import DEFAULT_LIMITS
 
 
 class TestTotalStoppingTime:
@@ -168,6 +171,47 @@ class TestBlockCensus:
         census = block_census(27, 3, IterationLimits(max_steps=5, max_bits=4096))
         assert 0 in census.unknown_offsets
         assert census.sigmas[0] == -1
+
+
+# A fixed 6000-bit start, whose orbit takes 28,081 steps to 1.
+BIG_START = random.Random(6000).getrandbits(6000) | 1 << 5999
+DESCEND_STARTS = (
+    list(range(1, 2**13 + 1))
+    + [n for base in (10**35, 10**36, TABLE_BASE) for n in range(base, base + 1000)]
+    + [2**127 - 1, BIG_START]
+    # With K = 10: a jump from 90589's orbit would beat the peak if it
+    # were let through at b + G = peak.bit_length(), and one from
+    # 893 * 2^31 - 1's would cross below the start if x >> (K-1) >= n
+    # were enough.
+    + [90589, 893 * 2**31 - 1]
+)
+K = stats.JUMP_K
+
+
+@pytest.mark.parametrize("limits", [DEFAULT_LIMITS] + [
+    IterationLimits(max_steps=s, max_bits=b)
+    for s in (0, 1, K - 1, K, K + 1, 59, 60, 300)
+    for b in (0, 1, 8, 64, 127, 128, 130, 4096)
+], ids=lambda lim: "steps%d-bits%d" % (lim.max_steps, lim.max_bits))
+def test_descend_matches_the_one_step_walk(limits):
+    # Budgets at a jump's edges: a jump may end on max_steps or within
+    # max_bits, never past either, and every field must agree.
+    for n in DESCEND_STARTS:
+        assert stats._descend(n, limits) == ref.descend(n, limits), n
+
+
+def test_descend_takes_most_steps_in_jumps(monkeypatch):
+    single = 0
+
+    def counted(x):
+        nonlocal single
+        single += 1
+        return t_step(x)
+
+    monkeypatch.setattr(stats, "t_step", counted)
+    steps = stats._descend(BIG_START, DEFAULT_LIMITS)[0]
+    assert steps == 28081
+    assert single < steps / 4
 
 
 class TestCountReachingOne:
