@@ -23,8 +23,11 @@ budget.  Its starts come as blocks (base, off), lanes base + off[i],
 from span_blocks (which verify_span jumps too) or int_blocks.
 
 dip is the one kernel behind two callers.  scan_sigma_peak runs it for
-T with floor 1 and step cap max_steps, and adds each start's walk to
-the totals of the smaller start it dipped to.  trajectory.cycle_census
+T with floor 1 and step cap max_steps, one block at a time, with a
+table whose guard also hands back a step past the scan's value cap.
+It adds each start's walk to the step count of the smaller start it
+dipped to, keeps only those counts per start, and hands each settled
+block, with every walk's peak, to a caller's fold.  trajectory.cycle_census
 runs it for any residue-class map, with floor lo, cap DIP_CAP and the
 map's own table (map_table); the census re-follows every lane the
 kernel hands back with Python integers, and a census block hands its
@@ -194,42 +197,76 @@ def dip(n, table, floor, cap, min_live=0):
     return steps, target, peak
 
 
-def scan_sigma_peak(hi, max_steps):
-    """Per-start step counts and excursion peaks for every n in [1, hi].
+def scan_sigma_peak(hi, max_steps, cap=_INT64_MAX, exact=None, fold=None, peaks_below=0):
+    """Per-start step counts to 1 for every n in [1, hi], one block of LANES starts at a time.
 
-    sigma[n] = steps of the halved 3x+1 rule to reach 1 (-2 if a budget
-    or the int64 guard interfered).  peak1[n] = largest iterate strictly
-    after the start, up to and including the first 1.  Each start is
-    walked by the dip kernel only until it falls below itself, to some
-    x < n; its totals are then the walk's plus those of x, which is
-    exact because the orbit tail is literally the orbit of x.  A start
-    whose walk breaks the int64 guard (an odd iterate above _OVF) or
-    takes more than max_steps steps, or whose x is itself guarded, gets
-    -2 in both arrays.
+    sigma[n] is the number of halved 3x+1 steps from n to 1 when there
+    are at most max_steps of them and no iterate after n exceeds cap;
+    otherwise n is undecided and sigma[n] = -2.  sigma has the narrowest
+    integer dtype that holds max_steps (int32 for 10^6).  The dip kernel
+    walks each start n of a block until its first iterate t below n,
+    which lies in [n/2, n): odd steps go up, so the step onto t halves
+    an iterate that is at least n.  The walk's table hands a lane back
+    before a step past cap or past int64 (an odd iterate above _OVF).
+    n is decided exactly when its walk dips within cap, t is decided,
+    and the walk's steps plus sigma[t] are at most max_steps, since t's
+    orbit is the tail of n's.  n = 1 takes no step and is decided.
+
+    When cap lies beyond the int64 guard's reach, a lane handed back is
+    decided by exact(n), which returns n's steps to 1 (None when n is
+    undecided) and the largest iterate after n.  Without exact such a
+    lane is -2.
+
+    Returns (sigma, peak1).  peak1[n], for n < peaks_below, is the
+    largest iterate after n up to the first 1, at most INT64_MAX (-2
+    when n is undecided; 1 for n = 1).  After each block [a, b),
+    fold(a, sigma[a:b], peak) is called, with peak[i] that of a + i for
+    a start below peaks_below or decided by exact, and otherwise its
+    walk's peak, up to and including t.
     """
-    sigma = np.full(hi + 1, -1, np.int64)
-    peak1 = np.zeros(hi + 1, np.int64)
-    if hi >= 1:
-        sigma[1] = 0
-        peak1[1] = 1
-    table = MapTable(2, np.array([1, 3], np.int64), np.array([0, 1], np.int64),
-                     np.array([_INT64_MAX, _OVF], np.int64))
+    max_steps = min(max_steps, _INT64_MAX)
+    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
+                 if max_steps <= np.iinfo(t).max)
+    sigma = np.full(hi + 1, -1, dtype)
+    peak1 = np.zeros(min(peaks_below, hi + 1), np.int64)
+    sigma[1:2] = 0
+    peak1[1:2] = 1
+    odd_guard = (2 * cap - 1) // 3  # the largest odd x with (3x + 1) / 2 <= cap
+    if odd_guard <= _OVF:  # every lane handed back would step past cap
+        exact = None
+    guard = np.array([min(2 * cap + 1, _INT64_MAX), min(odd_guard, _OVF)], np.int64)
+    table = MapTable(2, np.array([1, 3], np.int64), np.array([0, 1], np.int64), guard)
     for a in range(2, hi + 1, LANES):
-        _scan_block(sigma, peak1, a, min(a + LANES, hi + 1), table, max_steps)
+        b = min(a + LANES, hi + 1)
+        peak = _scan_block(sigma, peak1, a, b, table, max_steps, exact)
+        if fold is not None:
+            fold(a, sigma[a:b], peak)
     return sigma, peak1
 
 
-def _scan_block(sigma, peak1, a, b, table, max_steps):
-    """Fill sigma and peak1 over [a, b), given every entry below a."""
+def _scan_block(sigma, peak1, a, b, table, max_steps, exact):
+    """Fill sigma and peak1 over [a, b), given every entry below a; return the lanes' peaks.
+
+    The peaks are those scan_sigma_peak passes to fold.
+    """
     steps, target, peak = dip(np.arange(a, b, dtype=np.int64), table, 1, max_steps)
-    bad = steps == 0
-    sigma[a:b][bad] = -2
-    peak1[a:b][bad] = -2
+    sig = sigma[a:b]
+    back = np.flatnonzero(steps == 0)
+    sig[back] = -2
+    peak[back] = -2
+    if exact is not None:
+        for i in back.tolist():
+            s, p = exact(a + i)
+            if s is not None:
+                sig[i] = s
+                peak[i] = min(p, _INT64_MAX)
+    kept = max(0, min(peak1.size, b) - a)  # lanes with full peaks
+    peak1[a:a + kept] = peak[:kept]
     # Targets below a are final.  A target inside the block is final
     # once its own lane is (sigma -1 means not yet); it is always a
     # smaller start, so each pass settles at least the smallest pending
     # lane, and chains inside the block take a few passes.
-    pending = np.flatnonzero(~bad)
+    pending = np.flatnonzero(steps)
     while pending.size:
         tgt = target.take(pending)
         tail = sigma.take(tgt)
@@ -240,9 +277,15 @@ def _scan_block(sigma, peak1, a, b, table, max_steps):
             pending = pending[wait]
         else:
             lanes, pending = pending, pending[:0]
-        good = tail >= 0
-        sigma[a + lanes] = np.where(good, steps.take(lanes) + tail, -2)
-        peak1[a + lanes] = np.where(good, np.maximum(peak.take(lanes), peak1.take(tgt)), -2)
+        total = steps.take(lanes) + tail
+        good = (tail >= 0) & (total <= max_steps)
+        sig[lanes] = np.where(good, total, -2)
+        if kept:
+            low = lanes < kept
+            lanes, tgt, good = lanes[low], tgt[low], good[low]
+            peak1[a + lanes] = np.where(good, np.maximum(peak.take(lanes), peak1.take(tgt)), -2)
+    peak[:kept] = peak1[a:a + kept]
+    return peak
 
 
 def _jump_block(n, table, max_jumps, unresolved):

@@ -19,9 +19,6 @@ import numpy as np
 from . import stats
 from .trajectory import DEFAULT_LIMITS
 
-_INT64_MAX = np.iinfo(np.int64).max
-
-
 @dataclass(frozen=True)
 class AffineGenerator:
     """x -> a*x + b, or (a*x + b) / modulus on one residue class.
@@ -132,12 +129,13 @@ def backward_collatz_set(bound: int, ceiling: int | None = None) -> ClosureResul
     of generator applications from 1 to m is therefore the reversed
     orbit of m, so m belongs to the ceiling-bounded closure exactly
     when its orbit reaches 1 without any iterate exceeding the
-    ceiling.  That test runs forward, on the records scan's steps to 1
-    and after-start peak of every m in [1, bound] under DEFAULT_LIMITS,
-    which avoids exploring the whole closure up to the much larger
-    ceiling.  The scan stores a peak above int64 as INT64_MAX, so under
-    a ceiling at least that large such a start is decided from its
-    exact peak.
+    ceiling.  That test runs forward, in the records scan under
+    DEFAULT_LIMITS with the ceiling as the cap on every iterate after
+    the start: m is a member when its walk to its first iterate t below
+    m stays under the ceiling and t is a member (within the step
+    budget), which avoids exploring the whole closure up to the much
+    larger ceiling.  A start the scan hands back at the int64 guard is
+    decided from its exact orbit.
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
@@ -145,12 +143,8 @@ def backward_collatz_set(bound: int, ceiling: int | None = None) -> ClosureResul
         ceiling = bound << DEFAULT_HEADROOM_BITS
     if ceiling < bound:
         raise ValueError("ceiling below bound would cut off the requested range")
-    sigma, peak1, _ = stats._scan_arrays(bound, DEFAULT_LIMITS)
-    inside = (sigma >= 0) & (peak1 <= min(ceiling, _INT64_MAX))
-    if ceiling >= _INT64_MAX:
-        for m in np.flatnonzero(inside & (peak1 == _INT64_MAX)):
-            inside[m] = stats._descend(int(m), DEFAULT_LIMITS)[2] <= ceiling
-    members = tuple(int(m) for m in np.flatnonzero(inside))
+    sigma = stats._scan(bound, DEFAULT_LIMITS, ceiling)[0]
+    members = tuple((np.flatnonzero(sigma[1:] >= 0) + 1).tolist())
     return ClosureResult(
         ceiling=ceiling, members=members, pruned=len(members) < bound, exact=True
     )

@@ -279,29 +279,33 @@ class ReachCount:
     unknown: tuple[int, ...]
 
 
-def _scan_arrays(hi: int, limits: IterationLimits):
-    """Kernel scan over [1, hi] with exact patch-up of guarded starts."""
-    sigma, peak1 = _kernels.scan_sigma_peak(hi, limits.max_steps)
-    unknown = []
-    pending = np.nonzero(sigma == -2)[0]
-    for n in pending:
-        n = int(n)
-        s, _, p, _ = _descend(n, limits)
-        if s is None:
-            unknown.append(n)
-        else:
-            sigma[n] = s
-            peak1[n] = min(p, np.iinfo(np.int64).max)
-    return sigma, peak1, tuple(unknown)
+def _scan(hi: int, limits: IterationLimits, ceiling: int | None = None, fold=None,
+          peaks_below: int = 0):
+    """The kernel scan of [1, hi], each start it hands back decided by _descend.
+
+    A start is decided when its orbit reaches 1 within the budgets with
+    no iterate after it above ceiling, if one is given.  Returns
+    scan_sigma_peak's (sigma, peak1).
+    """
+    # Every cap from 2^64 on hands back the same lanes, at the int64 guard.
+    cap = (1 << min(limits.max_bits, 64)) - 1
+    if ceiling is not None:
+        cap = min(cap, ceiling)
+
+    def exact(n):
+        steps, _, peak, _ = _descend(n, limits)
+        return (None if ceiling is not None and peak > ceiling else steps), peak
+
+    return _kernels.scan_sigma_peak(hi, limits.max_steps, cap, exact, fold, peaks_below)
 
 
 def count_reaching_one(x_max: int, limits: IterationLimits = DEFAULT_LIMITS) -> ReachCount:
     """Count starts in [1, x_max] whose orbit reaches 1 within the budgets."""
     if x_max < 1:
         raise ValueError("x_max must be positive")
-    sigma, _, unknown = _scan_arrays(x_max, limits)
-    count = int((sigma[1:] >= 0).sum())
-    return ReachCount(x_max, count, unknown)
+    sigma = _scan(x_max, limits)[0][1:]
+    unknown = np.flatnonzero(sigma == -2) + 1
+    return ReachCount(x_max, x_max - unknown.size, tuple(unknown.tolist()))
 
 
 @dataclass(frozen=True)
@@ -318,15 +322,18 @@ class RecordScan:
     unknown: tuple[int, ...]
 
 
-def _records(lo: int, vals: np.ndarray, floor) -> tuple:
-    """(lo + i, vals[i]) for each i where vals[i] beats floor and every earlier value."""
+def _records(a: int, vals: np.ndarray, floor, out: list):
+    """Append (a + i, vals[i]) to out for each i where vals[i] beats floor and every earlier value.
+
+    Returns the new floor, the larger of floor and every value.
+    """
     best = np.maximum.accumulate(vals)
     new = np.empty(vals.size, bool)
-    new[:1] = vals[:1] > floor
-    np.greater(vals[1:], best[:-1], out=new[1:])
-    del best
+    new[0] = vals[0] > floor
+    np.greater(vals[1:], np.maximum(best[:-1], floor), out=new[1:])
     at = np.flatnonzero(new)
-    return tuple(zip((at + lo).tolist(), vals.take(at).tolist()))
+    out.extend(zip((at + a).tolist(), vals.take(at).tolist()))
+    return max(floor, best[-1].item())
 
 
 def scan_records(
@@ -338,28 +345,61 @@ def scan_records(
     """Record holders of gamma, rho, and the after-start peak over [lo, hi].
 
     Also counts how many starts meet sigma >= gamma_threshold * log n,
-    the exceptional-growth census used as a sanity check on the scan.
+    the exceptional-growth census used as a sanity check on the scan,
+    and lists the undecided starts of [lo, hi], those whose orbit does
+    not reach 1 within the budgets.  A start is a record holder when
+    its value beats that of every smaller start of [lo, hi]; undecided
+    starts hold no records.
+
+    The scan folds each block of starts into the running maxima as soon
+    as the kernel has settled it, so the only state kept per start is
+    its step count.  The peak (and rho) of a start n is read from its
+    own walk to its first iterate t below n, not from its whole orbit;
+    two facts make the tables exact all the same:
+
+    - t lies in [n/2, n).  The step onto the first iterate below n is
+      not an odd step, which goes up, so it halves an iterate >= n.
+    - If n's peak comes from t's orbit rather than from its walk, and
+      t >= lo, then n holds no peak or rho record.  The smaller start t
+      of [lo, hi] has that same peak P, so n does not beat it; and
+      log P / log t >= log P / log n, since t < n and P >= 1.  The walk
+      value is at most the true one, so it is no record either, and by
+      induction on n the running maxima of walk values and of true
+      values agree at every n.
+
+    So only starts with t < lo, which lie below 2 * lo, need their whole
+    peak, and the scan keeps exact peaks for [1, 2 * lo) alone.
     """
     if lo < 2 or hi < lo:
         raise ValueError("record scan needs 2 <= lo <= hi")
-    sigma, peak1, unknown = _scan_arrays(hi, limits)
-    sigma, peak1 = sigma[lo:hi + 1], peak1[lo:hi + 1]
-    ok = sigma >= 0
-    ln = np.log(np.arange(lo, hi + 1, dtype=np.float64))
-    vals = sigma.astype(np.float64)
-    vals /= ln
-    vals[~ok] = -np.inf
-    count = int(np.count_nonzero(vals >= gamma_threshold))
-    g_rec = _records(lo, vals, -np.inf)
-    vals[:] = peak1
-    np.maximum(vals, 1.0, out=vals)
-    np.log(vals, out=vals)
-    vals /= ln
-    del ln
-    vals[~ok] = -np.inf
-    r_rec = _records(lo, vals, -np.inf)
-    del vals
-    p_rec = _records(lo, np.where(ok, peak1, -1), -1)
+    tables = ([], [], [])  # gamma, rho, peak
+    best = [-np.inf, -np.inf, -1]
+    count = 0
+    unknown = []
+
+    def fold(a, sigma, peak):
+        nonlocal count
+        skip = max(lo - a, 0)
+        if skip >= sigma.size:
+            return
+        a, sigma, peak = a + skip, sigma[skip:], peak[skip:]
+        ok = sigma >= 0
+        ln = np.log(np.arange(a, a + sigma.size, dtype=np.float64))
+        vals = sigma.astype(np.float64)
+        vals /= ln
+        vals[~ok] = -np.inf
+        count += int(np.count_nonzero(vals >= gamma_threshold))
+        best[0] = _records(a, vals, best[0], tables[0])
+        vals[:] = peak
+        np.maximum(vals, 1.0, out=vals)
+        np.log(vals, out=vals)
+        vals /= ln
+        vals[~ok] = -np.inf
+        best[1] = _records(a, vals, best[1], tables[1])
+        best[2] = _records(a, np.where(ok, peak, -1), best[2], tables[2])
+        unknown.extend((np.flatnonzero(~ok) + a).tolist())
+
+    _scan(hi, limits, fold=fold, peaks_below=2 * lo)
     return RecordScan(
-        lo, hi, g_rec, r_rec, p_rec, gamma_threshold, count, unknown
+        lo, hi, *map(tuple, tables), gamma_threshold, count, tuple(unknown)
     )

@@ -11,9 +11,12 @@ descend is stats._descend as it was before it took K-step jumps: one
 plain step per loop; tests/test_stats.py compares the two field by field.
 cycle_census follows every start with trajectory._follow, one at a
 time; tests/test_trajectory.py compares trajectory.cycle_census, which
-walks the starts through the dip kernel, against it.  scan_records
-builds the record tables with Python loops; tests/test_stats.py
-compares stats.scan_records, which uses running maxima, against it.
+walks the starts through the dip kernel, against it.  scan_exact is the
+scalar scan with every start it leaves undecided re-walked by descend,
+and scan_records builds the record tables from its full-range arrays
+with Python loops; tests/test_stats.py compares stats.scan_records,
+which folds walk peaks block by block, and count_reaching_one against
+them, and scan_exact against descend start by start.
 verify_span and verify_dense follow each start with one scalar jump
 walk, as both kernels run one block loop.  scan_sigma_peak takes the
 int64 guard as a keyword so a test can lower it together with the
@@ -28,11 +31,17 @@ import numpy as np
 from collatz_lab._kernels import _OVF
 from collatz_lab.maps import t_step
 from collatz_lab.sieve import INT64_MAX, SieveTable
-from collatz_lab.stats import RecordScan, _scan_arrays
+from collatz_lab.stats import RecordScan
 from collatz_lab.trajectory import DEFAULT_LIMITS, CycleCensus, Outcome, _follow
 
 
-def scan_sigma_peak(hi, max_steps, ovf=_OVF):
+def scan_sigma_peak(hi, max_steps, cap=INT64_MAX, ovf=_OVF):
+    """sigma and the full peak1 of every n in [1, hi], walking each start to below itself.
+
+    A start is -2 in both when its walk meets an odd iterate above ovf
+    or an iterate above cap, or when its total passes max_steps, or when
+    the start it falls to is -2.
+    """
     sigma = np.full(hi + 1, -1, np.int64)
     peak1 = np.zeros(hi + 1, np.int64)
     if hi >= 1:
@@ -54,10 +63,10 @@ def scan_sigma_peak(hi, max_steps, ovf=_OVF):
             d += 1
             if x > pk:
                 pk = x
-            if d > max_steps:
+            if d > max_steps or x > cap:
                 bad = True
                 break
-        if bad or sigma[x] < 0:
+        if bad or sigma[x] < 0 or d + sigma[x] > max_steps:
             sigma[n] = -2
             peak1[n] = -2
         else:
@@ -66,6 +75,24 @@ def scan_sigma_peak(hi, max_steps, ovf=_OVF):
             if pk > p:
                 p = pk
             peak1[n] = p
+    return sigma, peak1
+
+
+def scan_exact(hi, limits, cap=None):
+    """sigma and peak1 over [1, hi] with every -2 of the scalar scan re-walked by descend.
+
+    A start is decided when descend reaches 1 within the budgets with
+    every iterate after the start at most cap (by default the largest
+    value of max_bits bits); its peak above int64 reads as INT64_MAX.
+    """
+    if cap is None:
+        cap = (1 << limits.max_bits) - 1
+    sigma, peak1 = scan_sigma_peak(hi, limits.max_steps, cap)
+    for n in np.flatnonzero(sigma == -2).tolist():
+        steps, _, peak, _ = descend(n, limits)
+        if steps is not None and peak <= cap:
+            sigma[n] = steps
+            peak1[n] = min(peak, INT64_MAX)
     return sigma, peak1
 
 
@@ -220,8 +247,8 @@ def cycle_census(map_, lo, hi, limits=DEFAULT_LIMITS, hash_budget=1 << 26):
 
 
 def scan_records(lo, hi, gamma_threshold=6.143, limits=DEFAULT_LIMITS):
-    """The record tables built by Python loops over the scan arrays."""
-    sigma, peak1, unknown = _scan_arrays(hi, limits)
+    """The record tables built by Python loops over scan_exact's full arrays."""
+    sigma, peak1 = scan_exact(hi, limits)
     ns = np.arange(lo, hi + 1, dtype=np.int64)
     sg = sigma[lo:hi + 1].astype(np.float64)
     pk = peak1[lo:hi + 1].astype(np.float64)
@@ -246,5 +273,6 @@ def scan_records(lo, hi, gamma_threshold=6.143, limits=DEFAULT_LIMITS):
         if ok_n and p > best:
             best = int(p)
             p_rec.append((int(n), int(p)))
+    unknown = tuple(int(n) for n, ok_n in zip(ns, ok) if not ok_n)
     return RecordScan(lo, hi, running(gam), running(rh), tuple(p_rec), gamma_threshold,
                       count, unknown)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import kernel_reference as ref
 from collatz_lab import (
     AffineGenerator,
     backward_collatz_generators,
@@ -11,8 +12,9 @@ from collatz_lab import (
     density_profile,
     preset_closure,
 )
-from collatz_lab import stats
+from collatz_lab import _kernels, stats
 from collatz_lab.affine_sets import PRESET_GENERATORS, PRESET_SEEDS
+from collatz_lab.trajectory import DEFAULT_LIMITS
 
 
 class TestAffineGenerator:
@@ -102,6 +104,7 @@ class TestBackwardSet:
 
     @pytest.mark.parametrize("bound,ceiling", [
         (1, 1), (30, 100), (100, 4615), (100, 4616), (500, 10**4), (2000, 10**6),
+        (3000, 2**62), (3000, 2**63 - 1), (3000, 2**64),
     ])
     def test_members_are_the_starts_whose_orbit_stays_under_the_ceiling(self, bound, ceiling):
         def orbit_peak(m):
@@ -114,19 +117,17 @@ class TestBackwardSet:
         expected = tuple(m for m in range(1, bound + 1) if orbit_peak(m) <= ceiling)
         res = backward_collatz_set(bound, ceiling=ceiling)
         assert res.members == expected
+        sigma = ref.scan_exact(bound, DEFAULT_LIMITS, cap=ceiling)[0]
+        assert res.members == tuple(np.flatnonzero(sigma >= 0).tolist())
         assert res.pruned == (len(expected) < bound)
         assert res.exact
 
     @pytest.mark.parametrize("exact_peak,member", [(None, True), (2**70, True), (2**70 + 1, False)])
     def test_capped_peak_is_decided_from_the_exact_peak(self, monkeypatch, exact_peak, member):
-        # The records scan stores a peak above int64 as INT64_MAX; under a
-        # ceiling beyond int64 such a start is judged by its exact peak.
-        scan, descend = stats._scan_arrays, stats._descend
-
-        def capped_scan(hi, limits):
-            sigma, peak1, unknown = scan(hi, limits)
-            peak1[27] = np.iinfo(np.int64).max
-            return sigma, peak1, unknown
+        # Under a ceiling beyond int64, a start the scan hands back at the
+        # int64 guard is judged by its exact peak.  Lowering the guard
+        # hands 27 back; 54, which falls to 27 in one step, follows it.
+        descend = stats._descend
 
         def descend_27(n, limits):
             steps, odd, peak, stop = descend(n, limits)
@@ -134,11 +135,11 @@ class TestBackwardSet:
                 peak = exact_peak
             return steps, odd, peak, stop
 
-        monkeypatch.setattr(stats, "_scan_arrays", capped_scan)
+        monkeypatch.setattr(_kernels, "_OVF", 40)
         monkeypatch.setattr(stats, "_descend", descend_27)
         res = backward_collatz_set(100, ceiling=2**70)
         assert (27 in res.members) is member
-        assert set(range(1, 101)) - set(res.members) == (set() if member else {27})
+        assert set(range(1, 101)) - set(res.members) == (set() if member else {27, 54})
         assert res.pruned is not member
 
     def test_rejects_ceiling_below_bound(self):

@@ -256,6 +256,13 @@ class TestRecords:
         assert code == 0
         assert "peak,703,125252" in out
 
+    def test_undecided_starts_below_the_range_are_not_listed(self, capsys):
+        # 27 needs 70 steps, but every start of [28, 30] reaches 1 in 13.
+        code, out, _ = run_cli(capsys, "records", "28", "30", "--limit-steps", "20",
+                               "--format", "json")
+        assert code == 0
+        assert json.loads(out)["unknown"] == []
+
 
 class TestPredict:
     def test_positional(self, capsys):

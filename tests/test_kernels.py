@@ -60,9 +60,10 @@ def _same_dense(*args):
     return got
 
 
-def _same_scan(hi, max_steps):
-    sigma, peak1 = _kernels.scan_sigma_peak(hi, max_steps)
-    want_sigma, want_peak1 = ref.scan_sigma_peak(hi, max_steps)
+def _same_scan(hi, max_steps, cap=ref.INT64_MAX):
+    # peaks_below = hi + 1 keeps every full peak, for a whole-array comparison
+    sigma, peak1 = _kernels.scan_sigma_peak(hi, max_steps, cap, peaks_below=hi + 1)
+    want_sigma, want_peak1 = ref.scan_sigma_peak(hi, max_steps, cap)
     assert np.array_equal(sigma, want_sigma)
     assert np.array_equal(peak1, want_peak1)
     return sigma, peak1
@@ -73,13 +74,14 @@ def test_scan_sigma_peak_matches_reference():
 
 
 def test_scan_sigma_peak_known_values():
-    sigma, peak1 = _kernels.scan_sigma_peak(30, 10**6)
+    sigma, peak1 = _kernels.scan_sigma_peak(30, 10**6, peaks_below=31)
     assert sigma[1] == 0
     assert sigma[2] == 1
     assert sigma[3] == 5
     assert sigma[27] == 70
     assert peak1[27] == 4616
     assert peak1[4] == 2
+    assert sigma.dtype == np.int32
 
 
 def test_scan_sigma_peak_tiny_ranges():
@@ -89,10 +91,31 @@ def test_scan_sigma_peak_tiny_ranges():
 
 def test_scan_sigma_peak_step_budget_guards():
     # Small budgets mark slow starts -2, and every start whose tail
-    # lands on a guarded one, including chains inside one block.
+    # lands on a guarded one, including chains inside one block, and
+    # every start whose walk fits the budget but whose total does not.
     for max_steps in (0, 1, 2, 7, 40):
         sigma, _ = _same_scan(3000, max_steps)
         assert (sigma[2:] == -2).any()
+        assert sigma.max() <= max_steps
+
+
+def test_scan_sigma_peak_value_caps():
+    # A walk above cap is undecided, and so is every start that falls to it.
+    for cap in (0, 1, 2, 4095, 4615, 4616, 10**5):
+        sigma, peak1 = _same_scan(3000, 10**6, cap)
+        assert peak1.max() <= max(cap, 1)
+        assert (sigma[27] == -2) == (cap < 4616)
+
+
+def test_scan_sigma_peak_cap_handback_needs_no_exact_walk():
+    # Below the int64 guard's reach every handback steps past cap.
+    def exact(n):
+        raise AssertionError(n)
+
+    sigma, _ = _kernels.scan_sigma_peak(3000, 10**6, 2**62, exact=exact)
+    assert (sigma[1:] >= 0).all()
+    sigma, _ = _kernels.scan_sigma_peak(3000, 10**6, 4615, exact=exact)
+    assert sigma[27] == -2
 
 
 def test_scan_sigma_peak_across_lane_blocks():
@@ -101,14 +124,56 @@ def test_scan_sigma_peak_across_lane_blocks():
     assert (sigma[1:] >= 0).all()
 
 
+def test_scan_sigma_peak_folds_walk_peaks():
+    # fold sees every block once, in order, with the full peak below
+    # peaks_below and the walk's peak, up to its first iterate below
+    # the start, above it.
+    hi, below = 2 * LANES + 500, 1000
+    want_sigma, want_peak1 = ref.scan_sigma_peak(hi, 10**6)
+    seen = []
+
+    def fold(a, sigma, peak):
+        seen.append(a)
+        assert np.array_equal(sigma, want_sigma[a:a + sigma.size])
+        for i in range(0, sigma.size, 97):
+            n = a + i
+            want = want_peak1[n]
+            if n >= below:
+                x, want = n, 0
+                while x >= n:
+                    x = (3 * x + 1) >> 1 if x & 1 else x >> 1
+                    want = max(want, x)
+            assert peak[i] == want, n
+
+    sigma, peak1 = _kernels.scan_sigma_peak(hi, 10**6, fold=fold, peaks_below=below)
+    assert seen == [2, 2 + LANES, 2 + 2 * LANES]
+    assert peak1.size == below
+    assert np.array_equal(peak1, want_peak1[:below])
+
+
 def test_scan_sigma_peak_int64_guard(monkeypatch):
     # Lowering the guard makes the handback reachable at small starts.
     monkeypatch.setattr(_kernels, "_OVF", 5000)
-    sigma, peak1 = _kernels.scan_sigma_peak(4000, 10**6)
+    sigma, peak1 = _kernels.scan_sigma_peak(4000, 10**6, peaks_below=4001)
     want_sigma, want_peak1 = ref.scan_sigma_peak(4000, 10**6, ovf=5000)
     assert np.array_equal(sigma, want_sigma)
     assert np.array_equal(peak1, want_peak1)
     assert (sigma == -2).any() and (sigma > 0).any()
+    guarded = set(np.flatnonzero(sigma == -2).tolist())
+    # exact decides each start handed back, and the starts that fall to it follow
+    handed = []
+
+    def exact(n):
+        handed.append(n)
+        steps, _, peak, _ = ref.descend(n, ref.DEFAULT_LIMITS)
+        return steps, peak
+
+    sigma, peak1 = _kernels.scan_sigma_peak(4000, 10**6, exact=exact, peaks_below=4001)
+    want_sigma, want_peak1 = ref.scan_sigma_peak(4000, 10**6)
+    assert np.array_equal(sigma, want_sigma)
+    assert np.array_equal(peak1, want_peak1)
+    # only handed-back lanes are walked; the rest of the -2 starts above fell to one
+    assert set(handed) < guarded
 
 
 def test_verify_dense_matches_reference():

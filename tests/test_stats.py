@@ -2,6 +2,7 @@
 
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -262,10 +263,50 @@ class TestScanRecords:
 
 @pytest.mark.parametrize("lo,hi,max_steps", [
     (2, 3, 10**6), (2, 20_000, 10**6), (777, 70_000, 10**6), (2, 5000, 40), (300, 5000, 7),
+    (3, 70_000, 10**6), (40_000, 90_000, 10**6), (65_537, 140_000, 10**6), (3, 3000, 50),
+    (1000, 3000, 50),
 ])
 def test_record_tables_match_the_loops(lo, hi, max_steps):
-    # Running maxima with a strict-increase mask compare the same floats
-    # and ints as the loops, so the holders, the values and the
-    # threshold count are equal, budget-guarded starts included.
+    # The oracle walks every start of [1, hi] to 1 with the scalar scan
+    # and descend, keeps every full peak, and builds the tables with
+    # Python loops; the scan folds walk peaks block by block.  The
+    # ranges cross 2 * lo, below which full peaks are kept, and the
+    # LANES block boundaries at 2 + LANES and 2 + 2 * LANES.
     limits = IterationLimits(max_steps, 10**5)
-    assert scan_records(lo, hi, limits=limits) == ref.scan_records(lo, hi, limits=limits)
+    want = ref.scan_records(lo, hi, limits=limits)
+    assert scan_records(lo, hi, limits=limits) == want
+    assert all(lo <= n <= hi for n in want.unknown)
+    sigma = ref.scan_exact(hi, limits)[0][1:]
+    reach = count_reaching_one(hi, limits)
+    assert reach.count == (sigma >= 0).sum()
+    assert reach.unknown == tuple((sigma < 0).nonzero()[0] + 1)
+
+
+@pytest.mark.parametrize("max_steps", [0, 1, 7, 40, 50, 10**6])
+@pytest.mark.parametrize("max_bits", [0, 1, 12, 20, 10**5])
+def test_scans_decide_each_start_as_descend_does(max_steps, max_bits):
+    # A start is decided exactly when its total is within max_steps and
+    # no iterate after it has more than max_bits bits, inherited totals
+    # included; 1 takes no step and is always decided.
+    hi = 1 << 12
+    limits = IterationLimits(max_steps, max_bits)
+    want = [-2 if s is None else s
+            for s, _, _, _ in (ref.descend(n, limits) for n in range(1, hi + 1))]
+    assert ref.scan_exact(hi, limits)[0][1:].tolist() == want
+    assert stats._scan(hi, limits)[0][1:].tolist() == want
+    reach = count_reaching_one(hi, limits)
+    assert reach.count == sum(s >= 0 for s in want)
+    assert reach.unknown == tuple(n for n, s in enumerate(want, 1) if s < 0)
+    assert scan_records(2, hi, limits=limits) == ref.scan_records(2, hi, limits=limits)
+
+
+def test_record_scan_memory_does_not_grow_with_the_range():
+    # Only the step counts stay per start (int32 under the default
+    # budget, 8 MB here); a full-range int64 peak array would add 16 MB.
+    tracemalloc.start()
+    try:
+        scan_records(2, 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 24 << 20
