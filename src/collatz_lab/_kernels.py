@@ -23,9 +23,11 @@ budget.  Its starts come as blocks (base, off), lanes base + off[i],
 from span_blocks (which verify_span jumps too) or int_blocks.
 
 dip is the one kernel behind two callers.  scan_sigma_peak runs it for
-T with floor 1 and step cap max_steps, one block at a time, with a
-table whose guard also hands back a step past the scan's value cap.
-It adds each start's walk to the step count of the smaller start it
+T with floor 1 and step cap max_steps, with a table whose guard also
+hands back a step past the scan's value cap, but only on the starts
+its stop table (_stop_table) cannot settle by a few gathers: the
+leftover lanes of consecutive blocks walk together in one call.  It
+adds each start's walk to the step count of the smaller start it
 dipped to, keeps only those counts per start, and hands each settled
 block, with every walk's peak, to a caller's fold.  trajectory.cycle_census
 runs it for any residue-class map, with floor lo, cap DIP_CAP and the
@@ -43,15 +45,18 @@ temporaries are mapped and faulted in afresh until some larger free
 happens to raise that threshold.  verify_span over the 76 spans of
 [1, 5e6] at k=16 took 24-36 ms in a fresh process at 2^16 lanes and
 17-30 ms at 2^14 lanes (16-28 and 15-25 ms after one 16 MiB array
-was freed); verify_dense on [1, 65535] took 6-12 and 5-8 ms.  The
-dip kernel keeps 2^16: its lanes stay live much longer, and at 2^14
-a scan to 10^6 took about 1.4x as long.  Arbitrary precision work
+was freed); verify_dense on [1, 65535] took 6-12 and 5-8 ms.  A dip
+call costs one Python-level step per step of its longest lane, so
+the records scan fills each call with up to LANES leftover lanes: the
+stop table settles about 94% of a block, so one call serves about 17
+blocks, and a scan to 10^6 makes one.  Arbitrary precision work
 lands here only in jump_limbs, whose every limb product stays inside
 int64 however wide a block grows.
 """
 
 from __future__ import annotations
 
+import functools
 from itertools import groupby
 from typing import NamedTuple
 
@@ -66,8 +71,10 @@ _INT64_MAX = 2**63 - 1
 # largest x with 3x+1 guaranteed inside int64
 _OVF = (2**63 - 2) // 3
 
-# lanes advanced together by the dip kernel, in scan_sigma_peak and cycle_census
+# starts per block of scan_sigma_peak and cycle_census, and most lanes in one dip call
 LANES = 1 << 16
+# residue bits of the records scan's stop table
+STOP_BITS = 12
 # most steps a cycle_census lane walks before it is handed back
 DIP_CAP = 1000
 # a cycle_census block hands back its lanes once fewer than this many walk
@@ -197,20 +204,88 @@ def dip(n, table, floor, cap, min_live=0):
     return steps, target, peak
 
 
+@functools.cache
+def _stop_table():
+    """Each residue's stop, target form and peak form: (stop, m, t, slope, off).
+
+    For r < 2^W (W = STOP_BITS) with an entry, stop[r] = j > 0, every
+    start n = a * 2^W + r with a >= 1 first falls below itself at step
+    j, onto T^j(n) = m[r] * a + t[r], and the largest of T^1(n) ..
+    T^j(n) is slope[r] * a + off[r].  Other residues hold stop 0.  Built
+    by one vectorized walk of the 2^W residues (about 2 ms) at first
+    use, never at import; scan_sigma_peak gives the argument.
+    """
+    w = STOP_BITS
+    r = np.arange(1 << w, dtype=np.int64)
+    x = r
+    c = np.zeros(1 << w, np.int64)
+    stop = np.zeros(1 << w, np.int64)
+    m = np.zeros(1 << w, np.int64)
+    t = np.zeros(1 << w, np.int64)
+    drops = np.zeros(1 << w, bool)
+    slope = np.zeros(1 << w, np.int64)
+    off = np.zeros(1 << w, np.int64)
+    top = np.zeros(1 << w, np.int64)  # the largest iterate at a = 1
+    pow3 = np.array([3**i for i in range(w + 1)], np.int64)
+    for i in range(1, w + 1):
+        c += x & 1
+        x = _step(x)
+        live = stop == 0  # steps 1 .. j count toward the peak
+        gap = (1 << i) - pow3.take(c)  # 2^i - 3^c_i
+        p = ((1 << i) - gap) << (w - i)  # T^i(n) = p * a + x
+        steeper = live & (p > slope)
+        slope[steeper] = p[steeper]
+        off[steeper] = x[steeper]
+        np.maximum(top, np.where(live, p + x, 0), out=top)
+        first = live & (gap > 0)
+        stop[first] = i
+        m[first] = p[first]
+        t[first] = x[first]
+        drops[first] = (gap << (w - i) > x - r)[first]
+    stop[~drops | (slope + off < top)] = 0
+    return stop, m, t, slope, off
+
+
 def scan_sigma_peak(hi, max_steps, cap=_INT64_MAX, exact=None, fold=None, peaks_below=0):
     """Per-start step counts to 1 for every n in [1, hi], one block of LANES starts at a time.
 
     sigma[n] is the number of halved 3x+1 steps from n to 1 when there
     are at most max_steps of them and no iterate after n exceeds cap;
     otherwise n is undecided and sigma[n] = -2.  sigma has the narrowest
-    integer dtype that holds max_steps (int32 for 10^6).  The dip kernel
-    walks each start n of a block until its first iterate t below n,
-    which lies in [n/2, n): odd steps go up, so the step onto t halves
-    an iterate that is at least n.  The walk's table hands a lane back
-    before a step past cap or past int64 (an odd iterate above _OVF).
-    n is decided exactly when its walk dips within cap, t is decided,
-    and the walk's steps plus sigma[t] are at most max_steps, since t's
-    orbit is the tail of n's.  n = 1 takes no step and is decided.
+    integer dtype that holds max_steps (int32 for 10^6).  Each start n
+    is walked until its first iterate t below n, which lies in [n/2, n):
+    odd steps go up, so the step onto t halves an iterate that is at
+    least n.  The walk's table hands a lane back before a step past cap
+    or past int64 (an odd iterate above _OVF).  n is decided exactly
+    when its walk dips within cap, t is decided, and the walk's steps
+    plus sigma[t] are at most max_steps, since t's orbit is the tail of
+    n's.  n = 1 takes no step and is decided.
+
+    Most walks are read from _stop_table rather than stepped (_walks
+    runs the rest through dip).  Write n = a * 2^W + r, W = STOP_BITS,
+    r < 2^W and a >= 1, and let c_i count the odd ones among iterates
+    0 .. i-1.  The first W parities of n are those of r, so
+    T^i(n) = 3^c_i * 2^(W-i) * a + T^i(r) for i <= W.
+
+    - Stop.  T^i(n) = (3^c_i * n + d_i) / 2^i with d_i >= 0 (Terras),
+      so T^i(n) > n while 3^c_i > 2^i.  Let j be the first i with
+      3^c_j < 2^j.  Then n - T^j(n) = (2^j - 3^c_j) * 2^(W-j) * a
+      - (T^j(r) - r), which grows with a; when it is positive at a = 1
+      (sieve.build_table's drop condition at that j), n first falls
+      below itself at step j, onto the target m * a + t.
+    - Peak.  The walk's peak is the largest of the forms
+      3^c_i * 2^(W-i) * a + T^i(r), i = 1 .. j.  No two have the same
+      slope (3^c is never a power of 2), so when the steepest also wins
+      at a = 1 it wins at every a >= 1, and the peak is that form.
+
+    A residue that fails either check has no entry; at W = 12 none
+    fails, and the 3870 of 4096 residues with such a j all have one.
+    A start is settled from the table when a >= 1, its residue has an
+    entry, j <= max_steps, and the peak is at most min(cap, _OVF).
+    Then no iterate passes cap, and every odd iterate the walk steps
+    from is at most _OVF: n itself, if odd, is below T(n) <= peak.  So
+    dip would take that walk, not hand it back, and report the same
+    steps, target and peak.
 
     When cap lies beyond the int64 guard's reach, a lane handed back is
     decided by exact(n), which returns n's steps to 1 (None when n is
@@ -231,25 +306,78 @@ def scan_sigma_peak(hi, max_steps, cap=_INT64_MAX, exact=None, fold=None, peaks_
     peak1 = np.zeros(min(peaks_below, hi + 1), np.int64)
     sigma[1:2] = 0
     peak1[1:2] = 1
-    odd_guard = (2 * cap - 1) // 3  # the largest odd x with (3x + 1) / 2 <= cap
-    if odd_guard <= _OVF:  # every lane handed back would step past cap
+    if (2 * cap - 1) // 3 <= _OVF:  # every lane handed back would step past cap
         exact = None
-    guard = np.array([min(2 * cap + 1, _INT64_MAX), min(odd_guard, _OVF)], np.int64)
-    table = MapTable(2, np.array([1, 3], np.int64), np.array([0, 1], np.int64), guard)
-    for a in range(2, hi + 1, LANES):
-        b = min(a + LANES, hi + 1)
-        peak = _scan_block(sigma, peak1, a, b, table, max_steps, exact)
+    for a, b, steps, target, peak in _walks(2, hi, max_steps, cap):
+        peak = _scan_block(sigma, peak1, a, b, steps, target, peak, max_steps, exact)
         if fold is not None:
             fold(a, sigma[a:b], peak)
     return sigma, peak1
 
 
-def _scan_block(sigma, peak1, a, b, table, max_steps, exact):
-    """Fill sigma and peak1 over [a, b), given every entry below a; return the lanes' peaks.
+def _walks(lo, hi, max_steps, cap):
+    """dip's (steps, target, peak) for the starts of [lo, hi], one block of LANES at a time.
 
-    The peaks are those scan_sigma_peak passes to fold.
+    Yields (a, b, steps, target, peak) for each block [a, b), in order,
+    for scan_sigma_peak's walk: floor 1, step cap max_steps, and a
+    hand-back before a step past cap or past int64.  _stop_table settles the
+    lanes it can; the other lanes of consecutive blocks walk together,
+    in one dip call of at most LANES lanes, and a block's table lanes
+    are worked out again when it is yielded rather than kept.
     """
-    steps, target, peak = dip(np.arange(a, b, dtype=np.int64), table, 1, max_steps)
+    odd_guard = (2 * cap - 1) // 3  # the largest odd x with (3x + 1) / 2 <= cap
+    guard = np.array([min(2 * cap + 1, _INT64_MAX), min(odd_guard, _OVF)], np.int64)
+    table = MapTable(2, np.array([1, 3], np.int64), np.array([0, 1], np.int64), guard)
+    stop, m, t, slope, off = _stop_table()
+    residues = (1 << STOP_BITS) - 1
+    # the largest a >> W the table settles, per residue (0: none)
+    reach = np.where((stop > 0) & (stop <= max_steps), (min(cap, _OVF) - off) // slope, 0)
+
+    def rows(a, b):
+        """a >> W .. (b - 1) >> W as a column, and where [a, b) lies in those rows."""
+        q = np.arange(a >> STOP_BITS, ((b - 1) >> STOP_BITS) + 1, dtype=np.int64)
+        return q[:, None], slice(a & residues, (a & residues) + b - a)
+
+    def walkers(a, b):
+        """Lanes of [a, b) the table does not settle."""
+        q, cut = rows(a, b)
+        settled = (q <= reach) & (q > 0)
+        return np.flatnonzero(~settled.ravel()[cut])
+
+    def run(window):
+        walks = dip(np.concatenate([a + w for a, _, w in window]), table, 1, max_steps)
+        i = 0
+        for a, b, w in window:
+            q, cut = rows(a, b)
+            target = q * m
+            target += t
+            peak = q * slope  # wraps for some walkers, whose entries the walks replace
+            peak += off
+            lanes = np.tile(stop, q.size)[cut], target.ravel()[cut], peak.ravel()[cut]
+            for whole, part in zip(lanes, walks):
+                whole[w] = part[i:i + w.size]
+            i += w.size
+            yield (a, b) + lanes
+
+    window, held = [], 0  # the blocks waiting for one dip call, and their walkers
+    for a in range(lo, hi + 1, LANES):
+        b = min(a + LANES, hi + 1)
+        w = walkers(a, b)
+        if held + w.size > LANES:
+            yield from run(window)
+            window, held = [], 0
+        window.append((a, b, w))
+        held += w.size
+    if window:
+        yield from run(window)
+
+
+def _scan_block(sigma, peak1, a, b, steps, target, peak, max_steps, exact):
+    """Fill sigma and peak1 over [a, b) from its lanes' walks, given every entry below a.
+
+    steps, target and peak are dip's for the starts of [a, b).  Returns
+    the peaks that scan_sigma_peak passes to fold.
+    """
     sig = sigma[a:b]
     back = np.flatnonzero(steps == 0)
     sig[back] = -2
@@ -412,8 +540,12 @@ def jump_limbs(base, off, table, max_jumps) -> np.ndarray:
     is below 2^(B-k), so the new limb is below (3/2)^k + 3^k / 2^B <=
     2 (3/2)^k < 2^16 <= 2^B: limb_bits' bound holds at any width.  A
     start left open under a large budget (10^6 steps are 50,000 jumps
-    at k = 20) widens and jumps until the budget is spent, at a cost
-    not yet measured.
+    at k = 20) widens and jumps until the budget is spent.  Each jump
+    runs two Python loops over the limbs, so a lone wide lane is slow:
+    the one start 2^6000 - 1 falls below itself after 22,746 steps
+    (1,422 jumps at k = 16), which took 1.1-1.3 s, about 0.8 ms a jump,
+    against 0.03 s for stats.orbit_summary's whole orbit (numpy 2.4, one
+    core of a shared 2-core VM).
     """
     k = table.k
     b = limb_bits(table)

@@ -327,6 +327,8 @@ def _records(a: int, vals: np.ndarray, floor, out: list):
 
     Returns the new floor, the larger of floor and every value.
     """
+    if not vals.max() > floor:  # most blocks hold no record
+        return floor
     best = np.maximum.accumulate(vals)
     new = np.empty(vals.size, bool)
     new[0] = vals[0] > floor

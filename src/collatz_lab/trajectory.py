@@ -282,7 +282,7 @@ def cycle_census(
         target = dipped
         if b - a >= _kernels.DIP_MIN_LIVE and cap > 0 and b - 1 <= _kernels._INT64_MAX:
             if table is None:
-                top = min(_kernels._INT64_MAX, (map_.d << max(limits.max_bits, 0)) - 1)
+                top = min(_kernels._INT64_MAX, (map_.d << min(limits.max_bits, 64)) - 1)
                 table = _kernels.map_table(map_.d, map_.pairs, map_.undefined_residues, top)
             dipped, target, _ = _kernels.dip(
                 np.arange(a, b, dtype=np.int64), table, lo, cap, _kernels.DIP_MIN_LIVE)

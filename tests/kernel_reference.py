@@ -18,8 +18,10 @@ with Python loops; tests/test_stats.py compares stats.scan_records,
 which folds walk peaks block by block, and count_reaching_one against
 them, and scan_exact against descend start by start.
 verify_span and verify_dense follow each start with one scalar jump
-walk, as both kernels run one block loop.  scan_sigma_peak takes the
-int64 guard as a keyword so a test can lower it together with the
+walk, as both kernels run one block loop.  first_dip is the walk of
+one records-scan start to its first iterate below itself, as the dip
+kernel and the stop table must report it.  It and scan_sigma_peak take
+the int64 guard as a keyword so a test can lower it together with the
 kernels' own ``_OVF`` and make the overflow handback reachable at
 small values.
 """
@@ -35,12 +37,35 @@ from collatz_lab.stats import RecordScan
 from collatz_lab.trajectory import DEFAULT_LIMITS, CycleCensus, Outcome, _follow
 
 
+def first_dip(n, max_steps, cap=INT64_MAX, ovf=_OVF):
+    """(steps, target, peak) of n's walk to its first iterate below n, one plain T step at a time.
+
+    (0, 0, 0) when the walk is handed back: it meets an odd iterate
+    above ovf or an iterate above cap, or takes max_steps steps without
+    falling below n.
+    """
+    x = n
+    pk = 0
+    for d in range(1, max_steps + 1):
+        if x & 1:
+            if x > ovf:
+                break
+            x = (3 * x + 1) >> 1
+        else:
+            x >>= 1
+        if x > cap:
+            break
+        pk = max(pk, x)
+        if x < n:
+            return d, x, pk
+    return 0, 0, 0
+
+
 def scan_sigma_peak(hi, max_steps, cap=INT64_MAX, ovf=_OVF):
     """sigma and the full peak1 of every n in [1, hi], walking each start to below itself.
 
-    A start is -2 in both when its walk meets an odd iterate above ovf
-    or an iterate above cap, or when its total passes max_steps, or when
-    the start it falls to is -2.
+    A start is -2 in both when first_dip hands its walk back, or when
+    its total passes max_steps, or when the start it falls to is -2.
     """
     sigma = np.full(hi + 1, -1, np.int64)
     peak1 = np.zeros(hi + 1, np.int64)
@@ -48,33 +73,13 @@ def scan_sigma_peak(hi, max_steps, cap=INT64_MAX, ovf=_OVF):
         sigma[1] = 0
         peak1[1] = 1
     for n in range(2, hi + 1):
-        x = n
-        d = 0
-        pk = 0
-        bad = False
-        while x >= n:
-            if x & 1:
-                if x > ovf:
-                    bad = True
-                    break
-                x = (3 * x + 1) >> 1
-            else:
-                x >>= 1
-            d += 1
-            if x > pk:
-                pk = x
-            if d > max_steps or x > cap:
-                bad = True
-                break
-        if bad or sigma[x] < 0 or d + sigma[x] > max_steps:
+        d, x, pk = first_dip(n, max_steps, cap, ovf)
+        if not d or sigma[x] < 0 or d + sigma[x] > max_steps:
             sigma[n] = -2
             peak1[n] = -2
         else:
             sigma[n] = d + sigma[x]
-            p = peak1[x]
-            if pk > p:
-                p = pk
-            peak1[n] = p
+            peak1[n] = max(pk, peak1[x])
     return sigma, peak1
 
 

@@ -687,6 +687,14 @@ GOLDEN_DIGESTS = [
      "8a2fa9b56bde7e247aad50e818d5df1592904a6c09bccacab402044a7e286ff5"),
     (("sets", "closure", "--preset", "s0", "--bound", "100000", "--format", "json"), 0, 1089233,
      "26a42adbb25518cf72a0345c57f309312ccaa032a13e7b64bfa80f37f3436e71"),
+    # records ranges that span several scan blocks, default and budgeted
+    (("records", "2", "300000", "--format", "json"), 0, 1491,
+     "3d1b53865962e5086389b68c42fb10e7ba822f9bf812c8fe98a8538468e96251"),
+    (("records", "150000", "400000", "--format", "csv"), 0, 800,
+     "47761b36ee5232ecd8458dd1019ffeb182703e07c1da29678a44785807a128a7"),
+    (("records", "2", "200000", "--limit-steps", "150", "--limit-bits", "36",
+      "--format", "json"), 2, 45658,
+     "fdc2822f270e374dc7f6f7b74b72a5230778f1d83242ad0b8feda75ae2027d8f"),
     (("tag", "run", "--zeros", "27"), 0, 451,
      "a34af041b6cbd491903d5391b033bb94d449251cbf0a6176602afee9affbef63"),
     (("tag", "run", "--zeros", "27", "--format", "csv"), 0, 501024,

@@ -9,6 +9,9 @@ jump budget) and to straddle the LANES block boundary.
 """
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -175,6 +178,104 @@ def test_scan_sigma_peak_int64_guard(monkeypatch):
     # only handed-back lanes are walked; the rest of the -2 starts above fell to one
     assert set(handed) < guarded
 
+
+
+def _same_walks(lo, hi, max_steps, cap=ref.INT64_MAX, ovf=_kernels._OVF):
+    """_walks' (steps, target, peak) of every start of [lo, hi] against first_dip."""
+    blocks = []
+    for a, b, *lanes in _kernels._walks(lo, hi, max_steps, cap):
+        want = np.array([ref.first_dip(n, max_steps, cap, ovf) for n in range(a, b)],
+                        np.int64).reshape(-1, 3)
+        assert np.array_equal(np.stack(lanes, axis=1), want), (a, b)
+        blocks.append((a, b, want))
+    assert [a for a, _, _ in blocks] == list(range(lo, hi + 1, LANES))
+    assert blocks[-1][1] == hi + 1
+    return blocks
+
+
+def _settled(starts, max_steps, lim):
+    """Which starts the stop table settles, read from the table one start at a time."""
+    stop, _, _, slope, off = _kernels._stop_table()
+    w = _kernels.STOP_BITS
+    out = []
+    for n in starts:
+        a, r = n >> w, n & ((1 << w) - 1)
+        out.append(a >= 1 and 0 < stop[r] <= max_steps and slope[r] * a + off[r] <= lim)
+    return np.array(out)
+
+
+def test_stop_table_matches_the_plain_walk_of_every_start_to_2_18():
+    w = _kernels.STOP_BITS
+    blocks = _same_walks(1 << w, 1 << 18, 10**6)
+    # the table settles almost every start; each one it settles dips
+    starts = np.arange(1 << w, (1 << 18) + 1)
+    settled = _settled(starts.tolist(), 10**6, _kernels._OVF)
+    assert settled.mean() > 0.9
+    steps = np.concatenate([want[:, 0] for _, _, want in blocks])
+    assert (steps[settled] > 0).all()
+
+
+
+def test_stop_table_entries_are_the_classes_with_a_coefficient_stop():
+    # Every residue whose coefficient 3^c_j / 2^j falls below 1 within W
+    # steps gets an entry: the drop and steepest-form checks exclude none
+    # at this width.  Its stop is that first j.
+    w = _kernels.STOP_BITS
+    stop = _kernels._stop_table()[0]
+    first = np.zeros(1 << w, np.int64)
+    for r in range(1 << w):
+        x, c = r, 0
+        for j in range(1, w + 1):
+            c += x & 1
+            x = (3 * x + 1) >> 1 if x & 1 else x >> 1
+            if 3**c < 2**j:
+                first[r] = j
+                break
+    assert np.array_equal(stop, first)
+    assert np.count_nonzero(stop) == 3870  # of 4096 at W = 12
+
+@pytest.mark.parametrize("lo", [2**40, 10**12, 2**62 + 5, 2**63 - (1 << 16)])
+def test_stop_table_matches_the_plain_walk_far_out(lo):
+    # near 2^63 the int64 guard sends most table lanes to dip
+    _same_walks(lo, lo + (1 << 16) - 1, 10**6)
+
+
+def test_stop_table_under_budgets_caps_and_a_lowered_guard(monkeypatch):
+    # Lowering _OVF puts the peaks of table lanes past the guard, so
+    # those lanes must walk, and dip hands them back.
+    lo, hi = (1 << _kernels.STOP_BITS) - 300, (3 << _kernels.STOP_BITS) + 77
+    for ovf in (_kernels._OVF, 20_000):
+        monkeypatch.setattr(_kernels, "_OVF", ovf)
+        for max_steps in (0, 1, 2, 7, 40, 10**6):
+            for cap in (0, 1, 2, 4095, 4615, 4616, 10**5, ref.INT64_MAX):
+                _same_walks(lo, hi, max_steps, cap, ovf)
+    # some lanes the default guard settles are handed back under 20,000
+    starts = list(range(1 << _kernels.STOP_BITS, hi + 1))
+    steps = np.array([ref.first_dip(n, 10**6, ovf=20_000)[0] for n in starts])
+    assert ((steps == 0) & _settled(starts, 10**6, ref.INT64_MAX)).any()
+
+
+@pytest.mark.parametrize("lanes", [1000, 1 << 12, LANES])
+def test_walks_batch_blocks_into_dip_calls_of_at_most_lanes(monkeypatch, lanes):
+    monkeypatch.setattr(_kernels, "LANES", lanes)
+    sizes = []
+    real = _kernels.dip
+    monkeypatch.setattr(_kernels, "dip", lambda n, *args: sizes.append(n.size) or real(n, *args))
+    hi = 2 * LANES + 500
+    sigma, peak1 = _kernels.scan_sigma_peak(hi, 10**6, peaks_below=hi + 1)
+    want_sigma, want_peak1 = ref.scan_sigma_peak(hi, 10**6)
+    assert np.array_equal(sigma, want_sigma)
+    assert np.array_equal(peak1, want_peak1)
+    assert max(sizes) <= lanes
+    assert len(sizes) < -(-(hi - 1) // lanes)  # fewer dip calls than blocks
+
+
+def test_stop_table_is_built_at_first_use_not_at_import():
+    code = ("import collatz_lab.cli\n"
+            "from collatz_lab import _kernels\n"
+            "assert _kernels._stop_table.cache_info().currsize == 0\n")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)
 
 def test_verify_dense_matches_reference():
     checked, unresolved = _same_dense(*_dense_args(12, 1, 4096, 10_000))

@@ -1,5 +1,7 @@
 """Tests for exact orbit iteration, cycle detection, and the cycle census."""
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -315,6 +317,19 @@ def test_census_hands_back_past_a_lowered_int64_guard(monkeypatch):
     assert cycle_census(make_3k_map(5), 1, 3000, limits) == want[1]
     assert cycle_census(u_map(), 1, 3000, limits) == want[2]
 
+
+def test_census_guard_ignores_bits_past_int64():
+    # The guard clamps to int64, so a 10^9-bit budget builds no 10^9-bit
+    # bound and gives the census of a 64-bit one.
+    want = cycle_census(t_map(), 1, 100, IterationLimits(max_bits=64))
+    tracemalloc.start()
+    try:
+        got = cycle_census(t_map(), 1, 100, IterationLimits(max_bits=10**9))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 4 << 20
 
 def test_one_start_census_runs_no_kernel(monkeypatch):
     monkeypatch.setattr(_kernels, "dip", None)
