@@ -320,10 +320,11 @@ def _walks(lo, hi, max_steps, cap):
 
     Yields (a, b, steps, target, peak) for each block [a, b), in order,
     for scan_sigma_peak's walk: floor 1, step cap max_steps, and a
-    hand-back before a step past cap or past int64.  _stop_table settles the
-    lanes it can; the other lanes of consecutive blocks walk together,
-    in one dip call of at most LANES lanes, and a block's table lanes
-    are worked out again when it is yielded rather than kept.
+    hand-back before a step past cap or past int64.  _stop_table
+    settles the lanes it can; the other lanes of consecutive blocks
+    walk together, in one dip call of at most LANES lanes, and a
+    block's table lanes are worked out again when it is yielded rather
+    than kept.
     """
     odd_guard = (2 * cap - 1) // 3  # the largest odd x with (3x + 1) / 2 <= cap
     guard = np.array([min(2 * cap + 1, _INT64_MAX), min(odd_guard, _OVF)], np.int64)

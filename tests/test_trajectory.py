@@ -331,6 +331,7 @@ def test_census_guard_ignores_bits_past_int64():
     assert got == want
     assert peak < 4 << 20
 
+
 def test_one_start_census_runs_no_kernel(monkeypatch):
     monkeypatch.setattr(_kernels, "dip", None)
     census = cycle_census(t5_map(), 13, 13)
