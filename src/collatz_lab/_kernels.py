@@ -1,11 +1,13 @@
 """Hot inner loops over machine-sized integers, as numpy lockstep kernels.
 
 Each kernel takes its starts in blocks of lanes (VERIFY_LANES = 2^14
-for verify_span, verify_dense and jump_limbs, LANES = 2^16 for the dip
-kernel) and advances the whole block together: one masked array step
-moves every live lane by one step (or one k-step jump), and a lane
-leaves the block as soon as its own stopping rule fires.  The rules
-are those of the plain one-start-at-a-time loop, applied per lane:
+for verify_span, verify_dense and jump_limbs; for the dip kernel,
+LANES = 2^16 in the cycle census, and in the records scan blocks of
+SCAN_LANES = 2^14 starts and calls of up to twice that) and advances
+the whole block together: one masked array step moves every live lane
+by one step (or one k-step jump), and a lane leaves the block as soon
+as its own stopping rule fires.  The rules are those of the plain
+one-start-at-a-time loop, applied per lane:
 
 - resolved: the iterate is below the start n, or <= 2 for starts 1
   and 2 (verify), or the first iterate in [floor, n) (dip);
@@ -28,13 +30,14 @@ hands back a step past the scan's value cap, but only on the starts
 its stop table (_stop_table) cannot settle by a few gathers: the
 leftover lanes of consecutive blocks walk together in one call.  It
 adds each start's walk to the step count of the smaller start it
-dipped to, keeps only those counts per start, and hands each settled
-block, with every walk's peak, to a caller's fold.  trajectory.cycle_census
-runs it for any residue-class map, with floor lo, cap DIP_CAP and the
-map's own table (map_table); the census re-follows every lane the
-kernel hands back with Python integers, and a census block hands its
-lanes back once fewer than DIP_MIN_LIVE still walk, rather than step a
-nearly empty block.
+dipped to, keeps those counts as int16 only while a later block can
+still read them (a sliding _Window of about 5/8 of the range), and
+hands each settled block, with every walk's peak, to a caller's fold.
+trajectory.cycle_census runs it for any residue-class map, with floor
+lo, cap DIP_CAP and the map's own table (map_table); the census
+re-follows every lane the kernel hands back with Python integers, and
+a census block hands its lanes back once fewer than DIP_MIN_LIVE still
+walk, rather than step a nearly empty block.
 
 So every result is bit-identical to the scalar loop; tests/kernel_reference.py
 keeps those loops as oracles.  Lanes never interact, so the block
@@ -47,9 +50,13 @@ happens to raise that threshold.  verify_span over the 76 spans of
 17-30 ms at 2^14 lanes (16-28 and 15-25 ms after one 16 MiB array
 was freed); verify_dense on [1, 65535] took 6-12 and 5-8 ms.  A dip
 call costs one Python-level step per step of its longest lane, so
-the records scan fills each call with up to LANES leftover lanes: the
-stop table settles about 94% of a block, so one call serves about 17
-blocks, and a scan to 10^6 makes one.  Arbitrary precision work
+the records scan fills each call with up to 2 * SCAN_LANES leftover
+lanes: the stop table settles about 94% of a block, so one call serves
+about 34 blocks, and a scan to 10^6 makes two.  On a shared 2-core VM,
+calls of at most SCAN_LANES lanes made `records 2 1e8` about 7%
+slower (each call steps as long as its longest walk), and calls of up
+to LANES = 2^16 lanes, though faster, raised the peak memory of a scan
+to 10^6 by about 4 MiB.  Arbitrary precision work
 lands here only in jump_limbs, whose every limb product stays inside
 int64 however wide a block grows.
 """
@@ -71,8 +78,14 @@ _INT64_MAX = 2**63 - 1
 # largest x with 3x+1 guaranteed inside int64
 _OVF = (2**63 - 2) // 3
 
-# starts per block of scan_sigma_peak and cycle_census, and most lanes in one dip call
+# starts per block of cycle_census, and most lanes in one of its dip calls
 LANES = 1 << 16
+# starts per block of scan_sigma_peak; its dip calls take up to twice as many lanes
+SCAN_LANES = 1 << 14
+# eighths of [0, hi] that scan_sigma_peak's step-count window holds, with one block more
+WINDOW_EIGHTHS = 5
+# step counts from this one up sit in the window's exact side table
+_ESCAPE = np.iinfo(np.int16).max
 # residue bits of the records scan's stop table
 STOP_BITS = 12
 # most steps a cycle_census lane walks before it is handed back
@@ -93,7 +106,7 @@ def _step(x: np.ndarray) -> np.ndarray:
 
 
 def _ascending(parts: list) -> np.ndarray:
-    """The handed-back starts of every block as one ascending int64 array."""
+    """The starts listed in parts, one array per block, as one ascending int64 array."""
     out = np.concatenate(parts) if parts else np.empty(0, np.int64)
     out.sort()
     return out
@@ -247,19 +260,18 @@ def _stop_table():
 
 
 def scan_sigma_peak(hi, max_steps, cap=_INT64_MAX, exact=None, fold=None, peaks_below=0):
-    """Per-start step counts to 1 for every n in [1, hi], one block of LANES starts at a time.
+    """Step counts to 1 for every n in [1, hi], one block of SCAN_LANES starts at a time.
 
-    sigma[n] is the number of halved 3x+1 steps from n to 1 when there
+    sigma(n) is the number of halved 3x+1 steps from n to 1 when there
     are at most max_steps of them and no iterate after n exceeds cap;
-    otherwise n is undecided and sigma[n] = -2.  sigma has the narrowest
-    integer dtype that holds max_steps (int32 for 10^6).  Each start n
-    is walked until its first iterate t below n, which lies in [n/2, n):
-    odd steps go up, so the step onto t halves an iterate that is at
-    least n.  The walk's table hands a lane back before a step past cap
-    or past int64 (an odd iterate above _OVF).  n is decided exactly
-    when its walk dips within cap, t is decided, and the walk's steps
-    plus sigma[t] are at most max_steps, since t's orbit is the tail of
-    n's.  n = 1 takes no step and is decided.
+    otherwise n is undecided.  Each start n is walked until its first
+    iterate t below n, which lies in [n/2, n): odd steps go up, so the
+    step onto t halves an iterate that is at least n.  The walk's table
+    hands a lane back before a step past cap or past int64 (an odd
+    iterate above _OVF).  n is decided exactly when its walk dips within
+    cap, t is decided, and the walk's steps plus sigma(t) are at most
+    max_steps, since t's orbit is the tail of n's.  n = 1 takes no step
+    and is decided.
 
     Most walks are read from _stop_table rather than stepped (_walks
     runs the rest through dip).  Write n = a * 2^W + r, W = STOP_BITS,
@@ -290,39 +302,110 @@ def scan_sigma_peak(hi, max_steps, cap=_INT64_MAX, exact=None, fold=None, peaks_
     When cap lies beyond the int64 guard's reach, a lane handed back is
     decided by exact(n), which returns n's steps to 1 (None when n is
     undecided) and the largest iterate after n.  Without exact such a
-    lane is -2.
+    lane is undecided.
 
-    Returns (sigma, peak1).  peak1[n], for n < peaks_below, is the
-    largest iterate after n up to the first 1, at most INT64_MAX (-2
-    when n is undecided; 1 for n = 1).  After each block [a, b),
-    fold(a, sigma[a:b], peak) is called, with peak[i] that of a + i for
-    a start below peaks_below or decided by exact, and otherwise its
-    walk's peak, up to and including t.
+    A block [a, b) reads sigma only at its targets, which lie in
+    [a/2, b), so the counts live in a _Window over [a // 2, b) that
+    slides forward in place, and nothing range-sized is kept.  The
+    window holds WINDOW_EIGHTHS eighths of [0, hi] plus one block.
+    From four eighths on that is at least (hi + 2 + SCAN_LANES) / 2,
+    which bounds b - a // 2 for every block; at five it slides at most
+    twice per scan, at a near 5/8 and 15/16 of hi.  It stores each
+    count as int16, so 1.25 bytes per start of the range.  A total of
+    _ESCAPE = 2^15 - 1 or more is stored as _ESCAPE and kept exactly in
+    a side table, which drops the starts the window slides past.  The
+    totals of real ranges stay in the hundreds, so there the table
+    stays empty.
+
+    Returns (undecided,): the undecided starts, ascending, as int64.
+    After each block [a, b), fold(a, sigma, peak) is called, with
+    sigma[i] = sigma(a + i) (-2 when undecided) and peak[i] the largest
+    iterate after a + i, at most INT64_MAX: up to the first 1 (-2 when
+    undecided) for a start below peaks_below or decided by exact, and
+    otherwise its walk's, up to and including t.  Both arrays are the
+    scan's own and valid only during the call.
     """
     max_steps = min(max_steps, _INT64_MAX)
-    dtype = next(t for t in (np.int8, np.int16, np.int32, np.int64)
-                 if max_steps <= np.iinfo(t).max)
-    sigma = np.full(hi + 1, -1, dtype)
-    peak1 = np.zeros(min(peaks_below, hi + 1), np.int64)
-    sigma[1:2] = 0
-    peak1[1:2] = 1
+    win = _Window(min(hi + 1, WINDOW_EIGHTHS * (hi + 1) // 8 + SCAN_LANES), peaks_below)
+    win.sigma[1:2] = 0
+    win.peak[1:2] = 1
     if (2 * cap - 1) // 3 <= _OVF:  # every lane handed back would step past cap
         exact = None
+    undecided = []
     for a, b, steps, target, peak in _walks(2, hi, max_steps, cap):
-        peak = _scan_block(sigma, peak1, a, b, steps, target, peak, max_steps, exact)
+        win.fit(a, b)
+        sigma, peak = _scan_block(win, a, b, steps, target, peak, max_steps, exact)
+        if sigma.min() == -2:
+            undecided.append(np.flatnonzero(sigma == -2) + a)
         if fold is not None:
-            fold(a, sigma[a:b], peak)
-    return sigma, peak1
+            fold(a, sigma, peak)
+    return (_ascending(undecided),)
+
+
+def _slide(buf, shift, keep):
+    """Move buf[shift:shift + keep] to buf[:keep] in pieces of at most shift entries.
+
+    No piece overlaps its source, so numpy copies each one directly
+    rather than through a temporary as large as the part kept.
+    """
+    for i in range(0, keep, shift):
+        j = min(i + shift, keep)
+        buf[i:j] = buf[i + shift:j + shift]
+
+
+class _Window:
+    """scan_sigma_peak's step counts, and full peaks below peaks_below, for n in [base, base + size).
+
+    sigma[n - base] is n's total as int16: -1 while unknown, -2 when n
+    is undecided, and _ESCAPE for a total of _ESCAPE or more, which side
+    keeps exactly.  peak[n - base] is peak1(n), for n < peaks_below.
+    """
+
+    def __init__(self, size, peaks_below):
+        self.base = 0
+        self.sigma = np.empty(size, np.int16)
+        self.peak = np.empty(min(size, peaks_below), np.int64)
+        self.peaks_below = peaks_below
+        self.side = {}
+
+    def fit(self, a, b):
+        """Slide the window to start at a // 2 when the block [a, b) lies past its end."""
+        if b - self.base <= self.sigma.size:
+            return
+        lo = a // 2
+        shift = lo - self.base
+        _slide(self.sigma, shift, a - lo)
+        _slide(self.peak, shift, min(a, self.peaks_below) - lo)
+        self.side = {n: s for n, s in self.side.items() if n >= lo}
+        self.base = lo
+
+    def totals(self, i):
+        """The totals at window positions i: int16, or int64 when some escape."""
+        s = self.sigma.take(i)
+        if s.max() == _ESCAPE:
+            esc = np.flatnonzero(s == _ESCAPE)
+            s = s.astype(np.int64)
+            s[esc] = [self.side[n] for n in (i.take(esc) + self.base).tolist()]
+        return s
+
+    def put(self, off, lanes, totals):
+        """Store the int64 totals (or -2) at window positions off + lanes."""
+        if totals.max() >= _ESCAPE:
+            big = np.flatnonzero(totals >= _ESCAPE)
+            n = lanes.take(big) + (self.base + off)
+            self.side.update(zip(n.tolist(), totals.take(big).tolist()))
+            totals = np.minimum(totals, _ESCAPE)
+        self.sigma[off:][lanes] = totals
 
 
 def _walks(lo, hi, max_steps, cap):
-    """dip's (steps, target, peak) for the starts of [lo, hi], one block of LANES at a time.
+    """dip's (steps, target, peak) for the starts of [lo, hi], one block of SCAN_LANES at a time.
 
     Yields (a, b, steps, target, peak) for each block [a, b), in order,
     for scan_sigma_peak's walk: floor 1, step cap max_steps, and a
     hand-back before a step past cap or past int64.  _stop_table
     settles the lanes it can; the other lanes of consecutive blocks
-    walk together, in one dip call of at most LANES lanes, and a
+    walk together, in one dip call of at most 2 * SCAN_LANES lanes, and a
     block's table lanes are worked out again when it is yielded rather
     than kept.
     """
@@ -361,10 +444,10 @@ def _walks(lo, hi, max_steps, cap):
             yield (a, b) + lanes
 
     window, held = [], 0  # the blocks waiting for one dip call, and their walkers
-    for a in range(lo, hi + 1, LANES):
-        b = min(a + LANES, hi + 1)
+    for a in range(lo, hi + 1, SCAN_LANES):
+        b = min(a + SCAN_LANES, hi + 1)
         w = walkers(a, b)
-        if held + w.size > LANES:
+        if held + w.size > 2 * SCAN_LANES:
             yield from run(window)
             window, held = [], 0
         window.append((a, b, w))
@@ -373,13 +456,16 @@ def _walks(lo, hi, max_steps, cap):
         yield from run(window)
 
 
-def _scan_block(sigma, peak1, a, b, steps, target, peak, max_steps, exact):
-    """Fill sigma and peak1 over [a, b) from its lanes' walks, given every entry below a.
+def _scan_block(win, a, b, steps, target, peak, max_steps, exact):
+    """Fill the window over [a, b) from its lanes' walks, given every entry below a.
 
     steps, target and peak are dip's for the starts of [a, b).  Returns
-    the peaks that scan_sigma_peak passes to fold.
+    the sigma and the peaks that scan_sigma_peak passes to fold.
     """
-    sig = sigma[a:b]
+    off = a - win.base
+    target -= win.base  # window positions from here on
+    sig = win.sigma[off:off + b - a]
+    sig.fill(-1)
     back = np.flatnonzero(steps == 0)
     sig[back] = -2
     peak[back] = -2
@@ -387,10 +473,11 @@ def _scan_block(sigma, peak1, a, b, steps, target, peak, max_steps, exact):
         for i in back.tolist():
             s, p = exact(a + i)
             if s is not None:
-                sig[i] = s
+                win.put(off, np.array([i]), np.array([s]))
                 peak[i] = min(p, _INT64_MAX)
-    kept = max(0, min(peak1.size, b) - a)  # lanes with full peaks
-    peak1[a:a + kept] = peak[:kept]
+    kept = max(0, min(win.peaks_below, b) - a)  # lanes with full peaks
+    full = win.peak[off:off + kept]
+    full[:] = peak[:kept]
     # Targets below a are final.  A target inside the block is final
     # once its own lane is (sigma -1 means not yet); it is always a
     # smaller start, so each pass settles at least the smallest pending
@@ -398,7 +485,7 @@ def _scan_block(sigma, peak1, a, b, steps, target, peak, max_steps, exact):
     pending = np.flatnonzero(steps)
     while pending.size:
         tgt = target.take(pending)
-        tail = sigma.take(tgt)
+        tail = win.totals(tgt)
         wait = tail == -1
         if wait.any():
             ready = np.flatnonzero(~wait)
@@ -408,13 +495,17 @@ def _scan_block(sigma, peak1, a, b, steps, target, peak, max_steps, exact):
             lanes, pending = pending, pending[:0]
         total = steps.take(lanes) + tail
         good = (tail >= 0) & (total <= max_steps)
-        sig[lanes] = np.where(good, total, -2)
+        win.put(off, lanes, np.where(good, total, -2))
         if kept:
             low = lanes < kept
             lanes, tgt, good = lanes[low], tgt[low], good[low]
-            peak1[a + lanes] = np.where(good, np.maximum(peak.take(lanes), peak1.take(tgt)), -2)
-    peak[:kept] = peak1[a:a + kept]
-    return peak
+            full[lanes] = np.where(good, np.maximum(peak.take(lanes), win.peak.take(tgt)), -2)
+    peak[:kept] = full
+    if sig.max() == _ESCAPE:
+        esc = np.flatnonzero(sig == _ESCAPE)
+        sig = sig.astype(np.int64)
+        sig[esc] = [win.side[n] for n in (esc + a).tolist()]
+    return sig, peak
 
 
 def _jump_block(n, table, max_jumps, unresolved):

@@ -143,8 +143,10 @@ def backward_collatz_set(bound: int, ceiling: int | None = None) -> ClosureResul
         ceiling = bound << DEFAULT_HEADROOM_BITS
     if ceiling < bound:
         raise ValueError("ceiling below bound would cut off the requested range")
-    sigma = stats._scan(bound, DEFAULT_LIMITS, ceiling)[0]
-    members = tuple((np.flatnonzero(sigma[1:] >= 0) + 1).tolist())
+    member = np.ones(bound + 1, bool)
+    member[0] = False
+    member[stats._scan(bound, DEFAULT_LIMITS, ceiling)] = False
+    members = tuple(np.flatnonzero(member).tolist())
     return ClosureResult(
         ceiling=ceiling, members=members, pruned=len(members) < bound, exact=True
     )

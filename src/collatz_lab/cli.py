@@ -230,6 +230,7 @@ def _cmd_info(args) -> int:
         "numpy": np.__version__,
         "cpu_count": os.cpu_count(),
         "lanes": _kernels.LANES,
+        "scan_lanes": _kernels.SCAN_LANES,
         "verify_lanes": _kernels.VERIFY_LANES,
         "dip_cap": _kernels.DIP_CAP,
         "dip_min_live": _kernels.DIP_MIN_LIVE,

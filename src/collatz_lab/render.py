@@ -539,7 +539,8 @@ _INFO_FIELDS = (
     ("python", "Python version"),
     ("numpy", "numpy version"),
     ("cpu_count", "logical CPUs (os.cpu_count)"),
-    ("lanes", "lanes per dip-kernel block (records scan, cycle census)"),
+    ("lanes", "lanes per cycle-census block"),
+    ("scan_lanes", "starts per records-scan block (dip calls: up to twice as many)"),
     ("verify_lanes", "lanes per verify-kernel and recheck limb block"),
     ("dip_cap", "census steps before a start is handed back"),
     ("dip_min_live", "census block handed back below this many walking lanes"),

@@ -284,8 +284,9 @@ def _scan(hi: int, limits: IterationLimits, ceiling: int | None = None, fold=Non
     """The kernel scan of [1, hi], each start it hands back decided by _descend.
 
     A start is decided when its orbit reaches 1 within the budgets with
-    no iterate after it above ceiling, if one is given.  Returns
-    scan_sigma_peak's (sigma, peak1).
+    no iterate after it above ceiling, if one is given.  Returns the
+    undecided starts, ascending, as int64; fold and peaks_below are
+    scan_sigma_peak's.
     """
     # Every cap from 2^64 on hands back the same lanes, at the int64 guard.
     cap = (1 << min(limits.max_bits, 64)) - 1
@@ -296,15 +297,14 @@ def _scan(hi: int, limits: IterationLimits, ceiling: int | None = None, fold=Non
         steps, _, peak, _ = _descend(n, limits)
         return (None if ceiling is not None and peak > ceiling else steps), peak
 
-    return _kernels.scan_sigma_peak(hi, limits.max_steps, cap, exact, fold, peaks_below)
+    return _kernels.scan_sigma_peak(hi, limits.max_steps, cap, exact, fold, peaks_below)[0]
 
 
 def count_reaching_one(x_max: int, limits: IterationLimits = DEFAULT_LIMITS) -> ReachCount:
     """Count starts in [1, x_max] whose orbit reaches 1 within the budgets."""
     if x_max < 1:
         raise ValueError("x_max must be positive")
-    sigma = _scan(x_max, limits)[0][1:]
-    unknown = np.flatnonzero(sigma == -2) + 1
+    unknown = _scan(x_max, limits)
     return ReachCount(x_max, x_max - unknown.size, tuple(unknown.tolist()))
 
 

@@ -377,7 +377,7 @@ class TestInfo:
             "schema": "collatz-lab/1", "kind": "info", "backend": "numpy",
             "python": "%d.%d.%d" % sys.version_info[:3], "numpy": np.__version__,
             "cpu_count": os.cpu_count(), "lanes": _kernels.LANES,
-            "verify_lanes": _kernels.VERIFY_LANES, "dip_cap": _kernels.DIP_CAP,
+            "scan_lanes": _kernels.SCAN_LANES, "verify_lanes": _kernels.VERIFY_LANES, "dip_cap": _kernels.DIP_CAP,
             "dip_min_live": _kernels.DIP_MIN_LIVE,
         }
         code, out, _ = run_cli(capsys, "info")

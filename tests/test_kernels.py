@@ -5,7 +5,7 @@ kernels replaced.  Every case here runs both and compares the full
 output: counts, the handed-back starts and their order, and the sigma
 and peak arrays with their -2 guards.  Cases are chosen to reach each
 per-lane stopping rule (resolution, the int64 handback, the step or
-jump budget) and to straddle the LANES block boundary.
+jump budget) and to straddle the LANES and SCAN_LANES block boundaries.
 """
 
 import dataclasses
@@ -20,7 +20,7 @@ from hypothesis import strategies as st
 
 import kernel_reference as ref
 from collatz_lab import _kernels
-from collatz_lab._kernels import LANES
+from collatz_lab._kernels import LANES, SCAN_LANES
 from collatz_lab.sieve import build_table, k_step
 
 _TABLES = {}
@@ -63,9 +63,29 @@ def _same_dense(*args):
     return got
 
 
+def _scan_arrays(hi, max_steps, cap=ref.INT64_MAX, exact=None):
+    """sigma and peak1 over [0, hi] rebuilt from scan_sigma_peak's fold, in the reference's form.
+
+    peaks_below = hi + 1 keeps every full peak, for a whole-array
+    comparison.  The returned undecided starts must be the -2 ones.
+    """
+    sigma = np.full(hi + 1, -1, np.int64)
+    peak1 = np.zeros(hi + 1, np.int64)
+    sigma[1:2] = 0
+    peak1[1:2] = 1
+
+    def fold(a, sig, peak):
+        sigma[a:a + sig.size] = sig
+        peak1[a:a + sig.size] = peak
+
+    undecided, = _kernels.scan_sigma_peak(hi, max_steps, cap, exact, fold, peaks_below=hi + 1)
+    assert undecided.dtype == np.int64
+    assert np.array_equal(undecided, np.flatnonzero(sigma == -2))
+    return sigma, peak1
+
+
 def _same_scan(hi, max_steps, cap=ref.INT64_MAX):
-    # peaks_below = hi + 1 keeps every full peak, for a whole-array comparison
-    sigma, peak1 = _kernels.scan_sigma_peak(hi, max_steps, cap, peaks_below=hi + 1)
+    sigma, peak1 = _scan_arrays(hi, max_steps, cap)
     want_sigma, want_peak1 = ref.scan_sigma_peak(hi, max_steps, cap)
     assert np.array_equal(sigma, want_sigma)
     assert np.array_equal(peak1, want_peak1)
@@ -77,14 +97,17 @@ def test_scan_sigma_peak_matches_reference():
 
 
 def test_scan_sigma_peak_known_values():
-    sigma, peak1 = _kernels.scan_sigma_peak(30, 10**6, peaks_below=31)
+    sigma, peak1 = _scan_arrays(30, 10**6)
     assert sigma[1] == 0
     assert sigma[2] == 1
     assert sigma[3] == 5
     assert sigma[27] == 70
     assert peak1[27] == 4616
     assert peak1[4] == 2
-    assert sigma.dtype == np.int32
+    # the fold reads the window's int16 counts when none escapes
+    dtypes = set()
+    _kernels.scan_sigma_peak(30, 10**6, fold=lambda a, sig, peak: dtypes.add(sig.dtype))
+    assert dtypes == {np.dtype(np.int16)}
 
 
 def test_scan_sigma_peak_tiny_ranges():
@@ -115,14 +138,14 @@ def test_scan_sigma_peak_cap_handback_needs_no_exact_walk():
     def exact(n):
         raise AssertionError(n)
 
-    sigma, _ = _kernels.scan_sigma_peak(3000, 10**6, 2**62, exact=exact)
-    assert (sigma[1:] >= 0).all()
-    sigma, _ = _kernels.scan_sigma_peak(3000, 10**6, 4615, exact=exact)
-    assert sigma[27] == -2
+    undecided, = _kernels.scan_sigma_peak(3000, 10**6, 2**62, exact=exact)
+    assert undecided.size == 0
+    undecided, = _kernels.scan_sigma_peak(3000, 10**6, 4615, exact=exact)
+    assert 27 in undecided
 
 
 def test_scan_sigma_peak_across_lane_blocks():
-    # Second and third blocks read tails from the first.
+    # Later blocks read tails from earlier ones, and the window slides.
     sigma, _ = _same_scan(2 * LANES + 500, 10**6)
     assert (sigma[1:] >= 0).all()
 
@@ -131,13 +154,16 @@ def test_scan_sigma_peak_folds_walk_peaks():
     # fold sees every block once, in order, with the full peak below
     # peaks_below and the walk's peak, up to its first iterate below
     # the start, above it.
-    hi, below = 2 * LANES + 500, 1000
+    hi, below = 2 * SCAN_LANES + 500, 1000
     want_sigma, want_peak1 = ref.scan_sigma_peak(hi, 10**6)
     seen = []
+    peak1 = np.zeros(below, np.int64)
+    peak1[1] = 1
 
     def fold(a, sigma, peak):
         seen.append(a)
         assert np.array_equal(sigma, want_sigma[a:a + sigma.size])
+        peak1[a:below] = peak[:max(below - a, 0)]
         for i in range(0, sigma.size, 97):
             n = a + i
             want = want_peak1[n]
@@ -148,16 +174,15 @@ def test_scan_sigma_peak_folds_walk_peaks():
                     want = max(want, x)
             assert peak[i] == want, n
 
-    sigma, peak1 = _kernels.scan_sigma_peak(hi, 10**6, fold=fold, peaks_below=below)
-    assert seen == [2, 2 + LANES, 2 + 2 * LANES]
-    assert peak1.size == below
+    _kernels.scan_sigma_peak(hi, 10**6, fold=fold, peaks_below=below)
+    assert seen == [2, 2 + SCAN_LANES, 2 + 2 * SCAN_LANES]
     assert np.array_equal(peak1, want_peak1[:below])
 
 
 def test_scan_sigma_peak_int64_guard(monkeypatch):
     # Lowering the guard makes the handback reachable at small starts.
     monkeypatch.setattr(_kernels, "_OVF", 5000)
-    sigma, peak1 = _kernels.scan_sigma_peak(4000, 10**6, peaks_below=4001)
+    sigma, peak1 = _scan_arrays(4000, 10**6)
     want_sigma, want_peak1 = ref.scan_sigma_peak(4000, 10**6, ovf=5000)
     assert np.array_equal(sigma, want_sigma)
     assert np.array_equal(peak1, want_peak1)
@@ -171,12 +196,71 @@ def test_scan_sigma_peak_int64_guard(monkeypatch):
         steps, _, peak, _ = ref.descend(n, ref.DEFAULT_LIMITS)
         return steps, peak
 
-    sigma, peak1 = _kernels.scan_sigma_peak(4000, 10**6, exact=exact, peaks_below=4001)
+    sigma, peak1 = _scan_arrays(4000, 10**6, exact=exact)
     want_sigma, want_peak1 = ref.scan_sigma_peak(4000, 10**6)
     assert np.array_equal(sigma, want_sigma)
     assert np.array_equal(peak1, want_peak1)
     # only handed-back lanes are walked; the rest of the -2 starts above fell to one
     assert set(handed) < guarded
+
+
+def _count_slides(monkeypatch):
+    """Patch _Window.fit to count the slides it makes; returns the running count."""
+    slides = [0]
+    real = _kernels._Window.fit
+
+    def fit(win, a, b):
+        base = win.base
+        real(win, a, b)
+        slides[0] += win.base != base
+
+    monkeypatch.setattr(_kernels._Window, "fit", fit)
+    return slides
+
+
+def _small_window(monkeypatch, escape=8):
+    # 64-start blocks in a window of half the range plus one block: a
+    # scan of a few thousand starts slides it several times.  Lowering
+    # the escape value sends most totals to the side table.
+    monkeypatch.setattr(_kernels, "SCAN_LANES", 64)
+    monkeypatch.setattr(_kernels, "WINDOW_EIGHTHS", 4)
+    monkeypatch.setattr(_kernels, "_ESCAPE", escape)
+    return _count_slides(monkeypatch)
+
+
+def test_scan_window_slides_and_escapes_match_reference(monkeypatch):
+    slides = _small_window(monkeypatch)
+    sigma, _ = _same_scan(3000, 10**6)
+    assert slides[0] >= 3
+    assert (sigma[2:] >= 8).mean() > 0.9  # most totals escape
+    for max_steps in (0, 1, 2, 7, 40):
+        for cap in (0, 1, 2, 4095, 4615, 4616, 10**5, ref.INT64_MAX):
+            slides[0] = 0
+            _same_scan(3000, max_steps, cap)
+            assert slides[0] >= 3
+
+
+def test_scan_window_escapes_exact_totals(monkeypatch):
+    # exact's totals escape too, and chains through them stay exact
+    _small_window(monkeypatch)
+    monkeypatch.setattr(_kernels, "_OVF", 5000)
+
+    def exact(n):
+        steps, _, peak, _ = ref.descend(n, ref.DEFAULT_LIMITS)
+        return steps, peak
+
+    sigma, peak1 = _scan_arrays(4000, 10**6, exact=exact)
+    want_sigma, want_peak1 = ref.scan_sigma_peak(4000, 10**6)
+    assert np.array_equal(sigma, want_sigma)
+    assert np.array_equal(peak1, want_peak1)
+
+
+@pytest.mark.parametrize("hi", [100, 3000, 2 * LANES + 500])
+def test_scan_window_slides_at_most_twice_at_five_eighths(monkeypatch, hi):
+    slides = _count_slides(monkeypatch)
+    monkeypatch.setattr(_kernels, "SCAN_LANES", 64)
+    _kernels.scan_sigma_peak(hi, 10**6)
+    assert slides[0] == (2 if hi > 100 else 0)
 
 
 
@@ -188,7 +272,7 @@ def _same_walks(lo, hi, max_steps, cap=ref.INT64_MAX, ovf=_kernels._OVF):
                         np.int64).reshape(-1, 3)
         assert np.array_equal(np.stack(lanes, axis=1), want), (a, b)
         blocks.append((a, b, want))
-    assert [a for a, _, _ in blocks] == list(range(lo, hi + 1, LANES))
+    assert [a for a, _, _ in blocks] == list(range(lo, hi + 1, SCAN_LANES))
     assert blocks[-1][1] == hi + 1
     return blocks
 
@@ -257,16 +341,14 @@ def test_stop_table_under_budgets_caps_and_a_lowered_guard(monkeypatch):
 
 @pytest.mark.parametrize("lanes", [1000, 1 << 12, LANES])
 def test_walks_batch_blocks_into_dip_calls_of_at_most_lanes(monkeypatch, lanes):
-    monkeypatch.setattr(_kernels, "LANES", lanes)
+    # blocks of SCAN_LANES starts; a dip call takes up to two blocks' worth of lanes
+    monkeypatch.setattr(_kernels, "SCAN_LANES", lanes)
     sizes = []
     real = _kernels.dip
     monkeypatch.setattr(_kernels, "dip", lambda n, *args: sizes.append(n.size) or real(n, *args))
     hi = 2 * LANES + 500
-    sigma, peak1 = _kernels.scan_sigma_peak(hi, 10**6, peaks_below=hi + 1)
-    want_sigma, want_peak1 = ref.scan_sigma_peak(hi, 10**6)
-    assert np.array_equal(sigma, want_sigma)
-    assert np.array_equal(peak1, want_peak1)
-    assert max(sizes) <= lanes
+    _same_scan(hi, 10**6)
+    assert max(sizes) <= 2 * lanes
     assert len(sizes) < -(-(hi - 1) // lanes)  # fewer dip calls than blocks
 
 

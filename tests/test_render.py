@@ -237,7 +237,7 @@ class TestTagViews:
 
 class TestInfo:
     INFO = {"backend": "numpy", "python": "3.11.7", "numpy": "2.4.6", "cpu_count": None,
-            "lanes": 65536, "verify_lanes": 16384, "dip_cap": 1000, "dip_min_live": 64}
+            "lanes": 65536, "scan_lanes": 16384, "verify_lanes": 16384, "dip_cap": 1000, "dip_min_live": 64}
 
     def test_text_is_frozen(self):
         assert info_to_text(self.INFO) == (
@@ -245,7 +245,8 @@ class TestInfo:
             "python        3.11.7    Python version\n"
             "numpy         2.4.6     numpy version\n"
             "cpu_count     unknown   logical CPUs (os.cpu_count)\n"
-            "lanes         65536     lanes per dip-kernel block (records scan, cycle census)\n"
+            "lanes         65536     lanes per cycle-census block\n"
+            "scan_lanes    16384     starts per records-scan block (dip calls: up to twice as many)\n"
             "verify_lanes  16384     lanes per verify-kernel and recheck limb block\n"
             "dip_cap       1000      census steps before a start is handed back\n"
             "dip_min_live  64        census block handed back below this many walking lanes\n"
@@ -256,5 +257,5 @@ class TestInfo:
         assert json.dumps(doc) == (
             '{"schema": "collatz-lab/1", "kind": "info", "backend": "numpy", '
             '"python": "3.11.7", "numpy": "2.4.6", "cpu_count": 2, "lanes": 65536, '
-            '"verify_lanes": 16384, "dip_cap": 1000, "dip_min_live": 64}'
+            '"scan_lanes": 16384, "verify_lanes": 16384, "dip_cap": 1000, "dip_min_live": 64}'
         )

@@ -293,7 +293,11 @@ def test_scans_decide_each_start_as_descend_does(max_steps, max_bits):
     want = [-2 if s is None else s
             for s, _, _, _ in (ref.descend(n, limits) for n in range(1, hi + 1))]
     assert ref.scan_exact(hi, limits)[0][1:].tolist() == want
-    assert stats._scan(hi, limits)[0][1:].tolist() == want
+    sigma = [0] * hi  # rebuilt from the fold; 1 takes no step
+    undecided = stats._scan(hi, limits, fold=lambda a, sig, _: sigma.__setitem__(
+        slice(a - 1, a - 1 + sig.size), sig.tolist()))
+    assert sigma == want
+    assert undecided.tolist() == [n for n, s in enumerate(want, 1) if s < 0]
     reach = count_reaching_one(hi, limits)
     assert reach.count == sum(s >= 0 for s in want)
     assert reach.unknown == tuple(n for n, s in enumerate(want, 1) if s < 0)
@@ -310,3 +314,15 @@ def test_record_scan_memory_does_not_grow_with_the_range():
     finally:
         tracemalloc.stop()
     assert peak < 24 << 20
+
+
+def test_record_scan_keeps_a_window_of_int16_counts():
+    # The step counts live as int16 in a window of about 5/8 of the
+    # range (2.5 MB here), not as a full-range array.
+    tracemalloc.start()
+    try:
+        scan_records(2, 2 * 10**6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 << 20
