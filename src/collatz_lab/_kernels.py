@@ -502,9 +502,7 @@ def _scan_block(win, a, b, steps, target, peak, max_steps, exact):
             full[lanes] = np.where(good, np.maximum(peak.take(lanes), win.peak.take(tgt)), -2)
     peak[:kept] = full
     if sig.max() == _ESCAPE:
-        esc = np.flatnonzero(sig == _ESCAPE)
-        sig = sig.astype(np.int64)
-        sig[esc] = [win.side[n] for n in (esc + a).tolist()]
+        sig = win.totals(np.arange(off, off + b - a))
     return sig, peak
 
 

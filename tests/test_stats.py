@@ -294,8 +294,11 @@ def test_scans_decide_each_start_as_descend_does(max_steps, max_bits):
             for s, _, _, _ in (ref.descend(n, limits) for n in range(1, hi + 1))]
     assert ref.scan_exact(hi, limits)[0][1:].tolist() == want
     sigma = [0] * hi  # rebuilt from the fold; 1 takes no step
-    undecided = stats._scan(hi, limits, fold=lambda a, sig, _: sigma.__setitem__(
-        slice(a - 1, a - 1 + sig.size), sig.tolist()))
+
+    def fold(a, sig, _):
+        sigma[a - 1:a - 1 + sig.size] = sig.tolist()
+
+    undecided = stats._scan(hi, limits, fold=fold)
     assert sigma == want
     assert undecided.tolist() == [n for n, s in enumerate(want, 1) if s < 0]
     reach = count_reaching_one(hi, limits)
