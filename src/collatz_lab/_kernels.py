@@ -16,13 +16,14 @@ one-start-at-a-time loop, applied per lane:
 - out of budget: the lane used up its ``max_jumps`` / ``max_steps``.
 
 verify_span and verify_dense jump with one sieve.SieveTable (k, c, s,
-pow3, qmax, survivors) and take no floor: no range bound moves a stop.
-jump_limbs, the whole of sieve._exact_recheck, applies the same jumps
-to starts of any size as int64 limbs of limb_bits(table) bits.  It
-hands nothing back: a block gains a limb when a jump carries out of
-its top one, and every lane jumps until it resolves or spends its
-budget.  Its starts come as blocks (base, off), lanes base + off[i],
-from span_blocks (which verify_span jumps too) or int_blocks.
+pow3, qmax, survivors) and take no floor, through _int64_stage: the
+one place that knows where int64 ends, it jumps a stream's lanes below
+2^63 and returns the rest of the stream unread.  jump_limbs, the whole
+of sieve._exact_recheck, applies the same jumps to starts of any size
+as int64 limbs of limb_bits(table) bits, in blocks (base, off), lanes
+base + off[i].  It hands nothing back: a block gains a limb when a
+jump carries out of its top one, and every lane jumps until it
+resolves or spends its budget.
 
 dip is the one kernel behind two callers.  scan_sigma_peak runs it for
 T with floor 1 and step cap max_steps, with a table whose guard also
@@ -64,7 +65,7 @@ int64 however wide a block grows.
 from __future__ import annotations
 
 import functools
-from itertools import groupby
+from itertools import chain, groupby
 from typing import NamedTuple
 
 import numpy as np
@@ -543,19 +544,35 @@ def _jump_block(n, table, max_jumps, unresolved):
     unresolved.append(n)
 
 
+def _int64_stage(blocks, table, max_jumps):
+    """Jump a block stream's int64 lanes; return the rest of the stream unread.
+
+    blocks, an iterator, yields (base, off) blocks whose starts base + off[i]
+    ascend.  Lanes up to 2^63 - 1 go through _jump_block; the first lane above
+    ends the stage, and its block's upper part chained to the unread blocks is
+    the rest.  Returns (lanes jumped, their ascending hand-backs, rest).
+    """
+    jumped = 0
+    unresolved = []
+    for base, off in blocks:
+        cut = int(np.searchsorted(off, _INT64_MAX - base, "right")) if base <= _INT64_MAX else 0
+        if cut:
+            _jump_block(off[:cut] + base, table, max_jumps, unresolved)
+        jumped += cut
+        if cut < off.size:
+            return jumped, _ascending(unresolved), chain([(base, off[cut:])], blocks)
+    return jumped, _ascending(unresolved), iter(())
+
+
 def verify_span(b0, b1, table, max_jumps):
     """Jump every surviving residue in blocks [b0, b1) until it falls below itself.
 
-    Block b covers [b * 2^k, (b+1) * 2^k) of the table's width k, with
-    b1 <= 2^(63-k).  A start n resolves at the first jump boundary whose
-    iterate is below max(n, 3).  Returns the number of starts jumped and
-    those that exhaust max_jumps or would overflow int64, in ascending
-    order, for exact re-checking.
+    Block b covers [b * 2^k, (b+1) * 2^k) of the table's width k.  A start n
+    resolves at the first jump boundary whose iterate is below max(n, 3).
+    Returns _int64_stage on span_blocks: hand-backs are the starts that
+    exhaust max_jumps or would overflow int64, the rest those >= 2^63.
     """
-    unresolved = []
-    for base, off in span_blocks(b0, b1, table):
-        _jump_block(off + base, table, max_jumps, unresolved)
-    return max(b1 - b0, 0) * table.survivors.size, _ascending(unresolved)
+    return _int64_stage(span_blocks(b0, b1, table), table, max_jumps)
 
 
 def span_blocks(b0, b1, table):
@@ -580,17 +597,10 @@ def int_blocks(nums):
 
 
 def verify_dense(n0, n1, table, max_jumps):
-    """Every start of [n0, n1], n1 < 2^63, jumped like verify_span's survivors.
-
-    Success means falling below the start (or <= 2, for starts 1 and 2).
-    Starts that exhaust max_jumps or would overflow int64 are returned,
-    ascending.
-    """
-    unresolved = []
-    for a in range(n0, n1 + 1, VERIFY_LANES):
-        n = np.arange(a, min(a + VERIFY_LANES, n1 + 1), dtype=np.int64)
-        _jump_block(n, table, max_jumps, unresolved)
-    return max(n1 + 1 - n0, 0), _ascending(unresolved)
+    """Every start of [n0, n1], in (a, arange) blocks, jumped like verify_span's survivors."""
+    blocks = ((a, np.arange(min(VERIFY_LANES, n1 + 1 - a), dtype=np.int64))
+              for a in range(n0, n1 + 1, VERIFY_LANES))
+    return _int64_stage(blocks, table, max_jumps)
 
 
 def limb_bits(table) -> int:

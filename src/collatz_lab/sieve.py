@@ -175,9 +175,9 @@ class VerificationReport:
     of any kill/resume in between.  rechecked counts the starts handed
     to the exact recheck by the chunks this call ran, whichever process
     (the caller or a pool worker) ran them: the starts an int64 kernel
-    handed back (its int64 guard, or its jumps spent without falling
-    below itself) and every start >= 2^63, each once.  Chunks credited
-    from a checkpoint add none.  elapsed is wall time.
+    handed back (its int64 guard, or its jumps spent) or passed on
+    unread (every start >= 2^63), each once.  Chunks credited from a
+    checkpoint add none.  elapsed is wall time.
     """
 
     lo: int
@@ -202,9 +202,9 @@ def _plan_chunks(lo: int, hi: int, k: int, spans_per_chunk: int):
     """Ascending work units: dense edges around whole-span chunks.
 
     Spans [q * 2^k, (q+1) * 2^k) are included only when fully inside
-    [lo, hi], so every span chunk checks exactly spans * survivors
-    starts and verify_span needs no window; the ragged edges become
-    dense pieces.
+    [lo, hi], so a span chunk (b0, b1) checks (b1 - b0) * survivors
+    starts, run or credited, and a dense one (a, b) b - a + 1; the
+    ragged edges become dense pieces.
     """
     width = 1 << k
     q0 = max(1, -(-lo // width))
@@ -222,30 +222,27 @@ def _plan_chunks(lo: int, hi: int, k: int, spans_per_chunk: int):
 
 
 def _run_chunk(table: SieveTable, chunk, max_steps: int):
-    """(checked, rechecked, counterexamples) of one chunk, rechecks included.
+    """(rechecked, counterexamples) of one chunk, rechecks included.
 
-    The int64 kernels and the recheck both get ceil(max_steps / k)
-    jumps.  The recheck takes the kernels' hand-backs as (0, off) blocks,
-    then every start >= 2^63 (a span boundary for every k <= MAX_TABLE_K),
-    which fits no int64 lane, in (base, off) blocks built as it reaches
-    them.  Kernel calls stay positional, for wrappers that take *args only.
+    Its kernel (verify_dense or verify_span) jumps every start below 2^63
+    ceil(max_steps / k) times; the recheck reads the hand-backs as (0, off)
+    blocks, then the starts >= 2^63 the kernel passed on, and rechecked counts
+    their lanes.  Kernel calls stay positional, for wrappers taking *args only.
     """
     kind, a, b = chunk
-    jumps = -(-max_steps // table.k)
+    verify = _kernels.verify_dense if kind == "dense" else _kernels.verify_span
+    _, unresolved, rest = verify(a, b, table, -(-max_steps // table.k))
     lanes = _kernels.VERIFY_LANES
-    if kind == "dense":
-        checked, unresolved = _kernels.verify_dense(a, min(b, INT64_MAX), table, jumps)
-        tail = range(max(a, INT64_MAX + 1), b + 1)
-        n_big = len(tail)
-        big = ((n, np.arange(min(lanes, b + 1 - n), dtype=np.int64)) for n in tail[::lanes])
-    else:
-        cut = (INT64_MAX + 1) >> table.k
-        checked, unresolved = _kernels.verify_span(a, min(b, cut), table, jumps)
-        n_big = max(b - max(a, cut), 0) * int(table.survivors.size)
-        big = _kernels.span_blocks(max(a, cut), b, table)
     small = ((0, unresolved[i:i + lanes]) for i in range(0, unresolved.size, lanes))
-    return int(checked) + n_big, int(unresolved.size) + n_big, _exact_recheck(
-        table, chain(small, big), max_steps)
+    sizes = []
+
+    def given():
+        for block in chain(small, rest):
+            sizes.append(block[1].size)
+            yield block
+
+    cex = _exact_recheck(table, given(), max_steps)
+    return sum(sizes), cex
 
 
 _WORKER_TABLE: SieveTable | None = None
@@ -452,28 +449,20 @@ def verify_range(
     if checkpoint_path is not None and os.path.exists(checkpoint_path):
         start_chunk, cex = _read_checkpoint(checkpoint_path, table, lo, hi, spans_per_chunk,
                                             chunks, max_steps)
-    checked_dense = 0
-    checked_survivors = 0
+    starts = [b - a + 1 if kind == "dense" else (b - a) * int(table.survivors.size)
+              for kind, a, b in chunks]
+    done = sum(starts[:start_chunk])
     rechecked = 0
-    for kind, a, b in chunks[:start_chunk]:
-        if kind == "dense":
-            checked_dense += b - a + 1
-        else:
-            checked_survivors += (b - a) * int(table.survivors.size)
 
-    def commit(index, checked, chunk_rechecked, chunk_cex):
-        nonlocal checked_dense, checked_survivors, rechecked
-        kind = chunks[index][0]
-        if kind == "dense":
-            checked_dense += checked
-        else:
-            checked_survivors += checked
+    def commit(index, chunk_rechecked, chunk_cex):
+        nonlocal done, rechecked
+        done += starts[index]
         rechecked += chunk_rechecked
         cex.extend(chunk_cex)
         if checkpoint_path is not None:
             _write_checkpoint(checkpoint_path, k, lo, hi, spans_per_chunk, index + 1, cex)
         if on_progress is not None:
-            on_progress(index + 1, len(chunks), checked_dense + checked_survivors)
+            on_progress(index + 1, len(chunks), done)
 
     pending = list(range(start_chunk, len(chunks)))
     if workers == 1 or len(pending) <= 1:
@@ -481,14 +470,14 @@ def verify_range(
             commit(i, *_run_chunk(table, chunks[i], max_steps))
     else:
         _run_pool(table, chunks, pending, max_steps, workers, commit)
-    total = hi - lo + 1
+    checked_dense = sum(n for n, (kind, _, _) in zip(starts, chunks) if kind == "dense")
     return VerificationReport(
         lo=lo,
         hi=hi,
         k=k,
         checked_dense=checked_dense,
-        checked_survivors=checked_survivors,
-        skipped=total - checked_dense - checked_survivors,
+        checked_survivors=done - checked_dense,
+        skipped=hi - lo + 1 - done,
         rechecked=rechecked,
         counterexamples=tuple(cex),
         chunks_total=len(chunks),

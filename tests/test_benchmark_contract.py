@@ -56,3 +56,21 @@ def test_plan_probe_is_rejected(tmp_path, monkeypatch):
             sys.modules.pop(name, None)
     for name, fn in plain.items():
         assert getattr(_kernels, name) is fn
+
+
+def test_traced_verify_gives_both_kernel_rates(tmp_path):
+    # The tracer counts int(out[0]) and len(out[1]) of every verify
+    # kernel call, so a result it cannot read fails here, not in a
+    # traced benchmark round.  The second range crosses 2^63.
+    tracing = _load("tracing")
+    tracer = tracing.Tracer(str(tmp_path))
+    tracer.install({"cli": cli, "render": render, "sieve": sieve, "_kernels": _kernels,
+                    "stats": stats, "model": model, "tag": tag, "affine_sets": affine_sets})
+    try:
+        sieve.verify_range(1000, 9000, k=8)
+        sieve.verify_range(2**63 - 5000, 2**63 + 5000, k=8)
+    finally:
+        spans = tracer.uninstall()
+    figures = tracing.layer_figures(spans, [])
+    assert figures["kernels.verify_span.starts_per_s"] > 0
+    assert figures["kernels.verify_dense.starts_per_s"] > 0

@@ -47,7 +47,8 @@ def _same_span(*args):
     assert got[0] == want[0]
     assert got[1].dtype == np.int64
     assert np.array_equal(got[1], want[1])
-    return got
+    assert next(got[2], None) is None  # every start is below 2^63
+    return got[:2]
 
 
 def _dense_args(k, n0, n1, max_jumps, qmax=None):
@@ -60,7 +61,8 @@ def _same_dense(*args):
     assert got[0] == want[0]
     assert got[1].dtype == np.int64
     assert np.array_equal(got[1], want[1])
-    return got
+    assert next(got[2], None) is None  # every start is below 2^63
+    return got[:2]
 
 
 def _scan_arrays(hi, max_steps, cap=ref.INT64_MAX, exact=None):
@@ -551,6 +553,35 @@ def test_span_blocks_list_every_survivor_in_order(k, b0, lanes, monkeypatch):
         assert base % (1 << k) == 0 and 0 <= off.min() and off.max() < 1 << (k + 15)
         got += [base + i for i in off.tolist()]
     assert got == [(q << k) + r for q in range(b0, b1) for r in survivors]
+
+
+@pytest.mark.parametrize("lanes", [16, 1 << 14])
+@pytest.mark.parametrize("kind, k, lo, hi", [
+    ("dense", 16, 2**63 - 20000, 2**63 + 100),
+    ("dense", 12, 2**63 - 5, 2**63 + 40),
+    ("dense", 12, 2**63, 2**63 + 40),
+    ("spans", 12, (2**63 >> 12) - 2, (2**63 >> 12) + 2),
+    ("spans", 16, (2**63 >> 16) - 1, (2**63 >> 16) + 3),
+])
+def test_verify_kernels_hand_on_every_start_above_int64(kind, k, lo, hi, lanes, monkeypatch):
+    # Windows across 2^63 (and one above it): the int64 part matches the
+    # scalar loop, and the rest lists every start >= 2^63 in order.
+    monkeypatch.setattr(_kernels, "VERIFY_LANES", lanes)
+    table = _table(k)
+    if kind == "dense":
+        out = _kernels.verify_dense(lo, hi, table, 50)
+        starts = list(range(lo, hi + 1))
+        want = ref.verify_dense(lo, 2**63 - 1, table, 50)
+    else:
+        out = _kernels.verify_span(lo, hi, table, 50)
+        starts = [(q << k) + r for q in range(lo, hi) for r in table.survivors.tolist()]
+        want = ref.verify_span(lo, 2**63 >> k, table, 50)
+    rest = list(out[2])
+    assert all(off.dtype == np.int64 and 0 < off.size <= lanes for _, off in rest)
+    big = [base + i for base, off in rest for i in off.tolist()]
+    assert big == [n for n in starts if n >= 2**63]
+    assert out[0] + len(big) == len(starts)
+    assert out[0] == want[0] and np.array_equal(out[1], want[1])
 
 
 @pytest.mark.parametrize("k", [1, 12, 20, 24])

@@ -337,6 +337,8 @@ class TestAboveInt64:
     CASES = [
         dict(lo=2**63 - 2**12, hi=2**63 + 2**12 - 1, k=12),
         dict(lo=2**63 - 10, hi=2**63 + 10, k=16),
+        # one dense chunk whose second 2^14-start block crosses 2^63
+        dict(lo=2**63 - 20000, hi=2**63 + 100, k=16),
     ]
 
     @pytest.mark.parametrize("case", CASES, ids=range(len(CASES)))
