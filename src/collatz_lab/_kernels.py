@@ -71,7 +71,7 @@ from typing import NamedTuple
 import numpy as np
 
 # The kernels are plain numpy; kept as public API for callers that
-# report which backend produced a result.
+# report which backend produced a result (perfbench/workload.py reads it).
 USING_NUMBA = False
 
 # the dip kernel's tables keep every a*x + b at most this
@@ -85,8 +85,8 @@ LANES = 1 << 16
 SCAN_LANES = 1 << 14
 # eighths of [0, hi] that scan_sigma_peak's step-count window holds, with one block more
 WINDOW_EIGHTHS = 5
-# step counts from this one up sit in the window's exact side table
-_ESCAPE = np.iinfo(np.int16).max
+# dtype of scan_sigma_peak's step counts until a total needs int64
+_COUNTS = np.int16
 # residue bits of the records scan's stop table
 STOP_BITS = 12
 # most steps a cycle_census lane walks before it is handed back
@@ -312,11 +312,10 @@ def scan_sigma_peak(hi, max_steps, cap=_INT64_MAX, exact=None, fold=None, peaks_
     From four eighths on that is at least (hi + 2 + SCAN_LANES) / 2,
     which bounds b - a // 2 for every block; at five it slides at most
     twice per scan, at a near 5/8 and 15/16 of hi.  It stores each
-    count as int16, so 1.25 bytes per start of the range.  A total of
-    _ESCAPE = 2^15 - 1 or more is stored as _ESCAPE and kept exactly in
-    a side table, which drops the starts the window slides past.  The
-    totals of real ranges stay in the hundreds, so there the table
-    stays empty.
+    count as _COUNTS = int16, so 1.25 bytes per start of the range.  The
+    first total that int16 cannot hold widens the whole window to int64
+    in place; the totals of real ranges stay in the hundreds, so there
+    it never widens.
 
     Returns (undecided,): the undecided starts, ascending, as int64.
     After each block [a, b), fold(a, sigma, peak) is called, with
@@ -357,17 +356,18 @@ def _slide(buf, shift, keep):
 class _Window:
     """scan_sigma_peak's step counts, and full peaks below peaks_below, for n in [base, base + size).
 
-    sigma[n - base] is n's total as int16: -1 while unknown, -2 when n
-    is undecided, and _ESCAPE for a total of _ESCAPE or more, which side
-    keeps exactly.  peak[n - base] is peak1(n), for n < peaks_below.
+    sigma[n - base] is n's total: -1 while unknown, -2 when n is
+    undecided.  It is a _COUNTS array until put meets a total that does
+    not fit, and an int64 array from then on, so a view of it taken
+    before a put may be stale.  peak[n - base] is peak1(n), for
+    n < peaks_below.
     """
 
     def __init__(self, size, peaks_below):
         self.base = 0
-        self.sigma = np.empty(size, np.int16)
+        self.sigma = np.empty(size, _COUNTS)
         self.peak = np.empty(min(size, peaks_below), np.int64)
         self.peaks_below = peaks_below
-        self.side = {}
 
     def fit(self, a, b):
         """Slide the window to start at a // 2 when the block [a, b) lies past its end."""
@@ -377,25 +377,12 @@ class _Window:
         shift = lo - self.base
         _slide(self.sigma, shift, a - lo)
         _slide(self.peak, shift, min(a, self.peaks_below) - lo)
-        self.side = {n: s for n, s in self.side.items() if n >= lo}
         self.base = lo
 
-    def totals(self, i):
-        """The totals at window positions i: int16, or int64 when some escape."""
-        s = self.sigma.take(i)
-        if s.max() == _ESCAPE:
-            esc = np.flatnonzero(s == _ESCAPE)
-            s = s.astype(np.int64)
-            s[esc] = [self.side[n] for n in (i.take(esc) + self.base).tolist()]
-        return s
-
     def put(self, off, lanes, totals):
-        """Store the int64 totals (or -2) at window positions off + lanes."""
-        if totals.max() >= _ESCAPE:
-            big = np.flatnonzero(totals >= _ESCAPE)
-            n = lanes.take(big) + (self.base + off)
-            self.side.update(zip(n.tolist(), totals.take(big).tolist()))
-            totals = np.minimum(totals, _ESCAPE)
+        """Store the int64 totals (or -2) at window positions off + lanes, widening sigma to fit."""
+        if totals.max() > np.iinfo(self.sigma.dtype).max:
+            self.sigma = self.sigma.astype(np.int64)
         self.sigma[off:][lanes] = totals
 
 
@@ -465,7 +452,7 @@ def _scan_block(win, a, b, steps, target, peak, max_steps, exact):
     """
     off = a - win.base
     target -= win.base  # window positions from here on
-    sig = win.sigma[off:off + b - a]
+    sig = win.sigma[off:off + b - a]  # stale after a put that widens sigma
     sig.fill(-1)
     back = np.flatnonzero(steps == 0)
     sig[back] = -2
@@ -486,7 +473,7 @@ def _scan_block(win, a, b, steps, target, peak, max_steps, exact):
     pending = np.flatnonzero(steps)
     while pending.size:
         tgt = target.take(pending)
-        tail = win.totals(tgt)
+        tail = win.sigma.take(tgt)
         wait = tail == -1
         if wait.any():
             ready = np.flatnonzero(~wait)
@@ -502,9 +489,7 @@ def _scan_block(win, a, b, steps, target, peak, max_steps, exact):
             lanes, tgt, good = lanes[low], tgt[low], good[low]
             full[lanes] = np.where(good, np.maximum(peak.take(lanes), win.peak.take(tgt)), -2)
     peak[:kept] = full
-    if sig.max() == _ESCAPE:
-        sig = win.totals(np.arange(off, off + b - a))
-    return sig, peak
+    return win.sigma[off:off + b - a], peak
 
 
 def _jump_block(n, table, max_jumps, unresolved):

@@ -65,14 +65,9 @@ def _add_out_arg(sub) -> None:
 
 def _cmd_traj(args) -> int:
     map_ = parse_map_spec(args.map)
-    stop = None
-    if args.stop_at_one:
-        stop = True
-    elif args.no_stop_at_one:
-        stop = False
     store = args.values or args.format != "text"
     traj = iterate(
-        map_, args.n, limits=_limits(args), stop_at_one=stop, store_values=store
+        map_, args.n, limits=_limits(args), stop_at_one=args.stop_at_one, store_values=store
     )
     slope = model.EXPECTED_SLOPE if args.model_overlay else None
     _show(args, traj, text=lambda t: render.trajectory_to_text(t, map_),
@@ -150,6 +145,8 @@ def _cmd_records(args) -> int:
 
 
 def _cmd_predict(args) -> int:
+    if args.opt_n is not None and args.pos_n is not None:
+        raise ValueError("give a start positionally or with --n, not both")
     n = args.opt_n if args.opt_n is not None else args.pos_n
     if n is None:
         raise ValueError("give a start, positionally or with --n")
@@ -294,8 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--values", action="store_true", help="print every value")
     p.add_argument("--linear", action="store_true", help="linear vertical scale for svg")
     p.add_argument("--model-overlay", action="store_true", help="dotted drift line in svg")
-    p.add_argument("--stop-at-one", action="store_true")
-    p.add_argument("--no-stop-at-one", action="store_true")
+    stop = p.add_mutually_exclusive_group()
+    stop.add_argument("--stop-at-one", dest="stop_at_one", action="store_const", const=True)
+    stop.add_argument("--no-stop-at-one", dest="stop_at_one", action="store_const", const=False)
     _add_limit_args(p)
     _add_out_arg(p)
     p.set_defaults(func=_cmd_traj)
@@ -433,7 +431,7 @@ def main(argv=None) -> int:
         set_digits(0)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
     finally:

@@ -36,10 +36,7 @@ class SieveTable:
 
     c and s cover every residue, certified or not, because a followed
     orbit can land anywhere mod 2^k.  survivors lists, ascending, the
-    residues whose class no prefix certified.  rescued counts survivors
-    whose coefficient decayed (3^c_j < 2^j) at some prefix without the
-    value check passing there; they stay survivors, which keeps the
-    skip sound by construction.
+    residues whose class no prefix certified.
     """
 
     k: int
@@ -48,7 +45,6 @@ class SieveTable:
     survivors: np.ndarray
     pow3: np.ndarray
     qmax: np.ndarray
-    rescued: int
 
 
 # c and s are composed in blocks of 2^_BLOCK_BITS residues: those of a
@@ -86,7 +82,7 @@ def build_table(k: int) -> SieveTable:
     n - T^j(n) = (2^j - 3^c_j) * a - (T^j(r) - r) > 0 at the smallest
     a, and at every larger a since 2^j - 3^c_j > 0.  Dropped classes
     are never lifted again; a decayed lift that fails the check stays
-    live, which is always sound, and counts in rescued if it survives.
+    live, which is always sound.
     """
     if not 1 <= k <= MAX_TABLE_K:
         raise ValueError("table width k must be in 1..%d, got %r" % (MAX_TABLE_K, k))
@@ -96,21 +92,17 @@ def build_table(k: int) -> SieveTable:
     r = np.zeros(1, dtype=np.int32)
     x = np.zeros(1, dtype=np.int64)
     cj = np.zeros(1, dtype=np.int8)
-    saw_decay = np.zeros(1, dtype=bool)
     for j in range(1, k + 1):
         r = np.concatenate((r, r + (1 << (j - 1))))
         x = np.concatenate((x, x + pow3.take(cj)))
         cj = np.concatenate((cj, cj))
-        saw_decay = np.concatenate((saw_decay, saw_decay))
         cj += x & 1
         x = _kernels._step(x)
         gap = (1 << j) - pow3.take(cj)
-        decayed = gap > 0
-        saw_decay |= decayed
-        drop = decayed & (gap * (1 << (k - j)) > x - r)
+        drop = (gap > 0) & (gap * (1 << (k - j)) > x - r)
         if drop.any():
             keep = ~drop
-            r, x, cj, saw_decay = r[keep], x[keep], cj[keep], saw_decay[keep]
+            r, x, cj = r[keep], x[keep], cj[keep]
 
     low = min(k, _BLOCK_BITS)
     block = 1 << low
@@ -136,8 +128,7 @@ def build_table(k: int) -> SieveTable:
     qmax = np.array(
         [(INT64_MAX - s_max) // 3**i for i in range(k + 1)], dtype=np.int64
     )
-    return SieveTable(k, c, s, r.astype(np.int64), pow3, qmax,
-                      int(np.count_nonzero(saw_decay)))
+    return SieveTable(k, c, s, r.astype(np.int64), pow3, qmax)
 
 
 def k_step(table: SieveTable, n: int) -> int:

@@ -3,8 +3,8 @@
 Everything here iterates x -> (3x+1)/2 on odds and x -> x/2 on evens,
 with the start counted as iterate zero.  Single-value functions use
 Python integers and accept arbitrarily large starts; the range scans
-route through the compiled kernels and re-check any start the int64
-guard rejected.
+run the numpy records scan (_kernels.scan_sigma_peak), and _descend
+decides every start it hands back.
 
 Every exact walk to 1 here is _descend, which takes JUMP_K steps in one
 table jump wherever nothing it tracks can change inside the jump (its
@@ -162,15 +162,11 @@ def one_ratio(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> Fraction | No
 
 def rho(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> float | None:
     """log(peak iterate after the start) / log(start), peak taken up to the first 1."""
-    if n < 2:
-        return None
     return orbit_summary(n, limits).rho
 
 
 def gamma(n: int, limits: IterationLimits = DEFAULT_LIMITS) -> float | None:
     """Total step count scaled by 1 / log(start)."""
-    if n < 2:
-        return None
     return orbit_summary(n, limits).gamma
 
 
@@ -377,7 +373,6 @@ def scan_records(
     tables = ([], [], [])  # gamma, rho, peak
     best = [-np.inf, -np.inf, -1]
     count = 0
-    unknown = []
 
     def fold(a, sigma, peak):
         nonlocal count
@@ -399,9 +394,7 @@ def scan_records(
         vals[~ok] = -np.inf
         best[1] = _records(a, vals, best[1], tables[1])
         best[2] = _records(a, np.where(ok, peak, -1), best[2], tables[2])
-        unknown.extend((np.flatnonzero(~ok) + a).tolist())
 
-    _scan(hi, limits, fold=fold, peaks_below=2 * lo)
-    return RecordScan(
-        lo, hi, *map(tuple, tables), gamma_threshold, count, tuple(unknown)
-    )
+    undecided = _scan(hi, limits, fold=fold, peaks_below=2 * lo)
+    return RecordScan(lo, hi, *map(tuple, tables), gamma_threshold, count,
+                      tuple(undecided[undecided >= lo].tolist()))

@@ -144,14 +144,12 @@ def build_table(k):
     x = r.copy()
     c = np.zeros(size, dtype=np.int64)
     alive = np.ones(size, dtype=bool)
-    saw_decay = np.zeros(size, dtype=bool)
     pow3 = np.array([3**i for i in range(k + 1)], dtype=np.int64)
     for j in range(1, k + 1):
         odd = (x & 1) == 1
         x = np.where(odd, (3 * x + 1) >> 1, x >> 1)
         c += odd
         decayed = pow3[c] < (1 << j)
-        saw_decay |= alive & decayed
         # Value check: with a = q * 2^(k-j) + r div 2^j and q >= 1,
         # T^j(a * 2^j + r_j) < a * 2^j + r_j at the smallest a means
         # the whole class has already fallen below itself by step j.
@@ -160,13 +158,12 @@ def build_table(k):
         sound = ((1 << j) - pow3[c]) * a_min > x[rj] - rj
         alive &= ~(decayed & sound)
     survivors = np.nonzero(alive)[0].astype(np.int64)
-    rescued = int(np.count_nonzero(saw_decay & alive))
     s_max = int(x.max())
     qmax = np.array(
         [(INT64_MAX - s_max) // 3**i for i in range(k + 1)], dtype=np.int64
     )
     c_small = c.astype(np.int8)
-    return SieveTable(k, c_small, x, survivors, pow3, qmax, rescued)
+    return SieveTable(k, c_small, x, survivors, pow3, qmax)
 
 
 def jump_limbs(starts, k, max_jumps):

@@ -74,3 +74,26 @@ def test_traced_verify_gives_both_kernel_rates(tmp_path):
     figures = tracing.layer_figures(spans, [])
     assert figures["kernels.verify_span.starts_per_s"] > 0
     assert figures["kernels.verify_dense.starts_per_s"] > 0
+
+
+def test_using_numba_is_false_for_the_workload_report():
+    # perfbench/workload.py reports collatz_lab.USING_NUMBA in every run.
+    import collatz_lab
+
+    assert collatz_lab.USING_NUMBA is False
+
+
+def test_traced_records_scan_gives_the_kernel_rate(tmp_path):
+    # The tracer counts int(args[0]) starts and reads out[0] of every
+    # scan_sigma_peak call, so a return shape it cannot read fails here,
+    # not in a traced benchmark round.
+    tracing = _load("tracing")
+    tracer = tracing.Tracer(str(tmp_path))
+    tracer.install({"cli": cli, "render": render, "sieve": sieve, "_kernels": _kernels,
+                    "stats": stats, "model": model, "tag": tag, "affine_sets": affine_sets})
+    try:
+        stats.scan_records(2, 5000)
+    finally:
+        spans = tracer.uninstall()
+    figures = tracing.layer_figures(spans, [])
+    assert figures["kernels.scan_sigma_peak.starts_per_s"] > 0

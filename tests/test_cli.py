@@ -98,6 +98,24 @@ class TestTraj:
         assert out == ""
         assert "must be >= 0" in err
 
+    @pytest.mark.parametrize("flags, outcome", [
+        ((), "reached-one after 11 steps"),
+        (("--stop-at-one",), "reached-one after 11 steps"),
+        (("--no-stop-at-one",), "entered-cycle after 12 steps"),
+    ])
+    def test_stop_at_one_flags(self, capsys, flags, outcome):
+        code, out, _ = run_cli(capsys, "traj", "7", *flags)
+        assert code == 0
+        assert outcome in out
+
+    @pytest.mark.parametrize("flags", [("--stop-at-one", "--no-stop-at-one"),
+                                       ("--no-stop-at-one", "--stop-at-one")])
+    def test_both_stop_at_one_flags_are_input_error(self, capsys, flags):
+        code, out, err = run_cli(capsys, "traj", "7", *flags)
+        assert code == 1
+        assert out == ""
+        assert "not allowed with" in err
+
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "t.csv"
         code, out, _ = run_cli(capsys, "traj", "27", "--format", "csv",
@@ -263,6 +281,14 @@ class TestRecords:
         assert code == 0
         assert json.loads(out)["unknown"] == []
 
+    def test_range_too_large_to_allocate_is_input_error(self, capsys):
+        # The step-count window alone would need petabytes, past any
+        # address space, so the allocation fails at once.
+        code, out, err = run_cli(capsys, "records", "2", "1e15")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+
 
 class TestPredict:
     def test_positional(self, capsys):
@@ -281,6 +307,12 @@ class TestPredict:
         code, _, err = run_cli(capsys, "predict")
         assert code == 1
         assert "error" in err
+
+    def test_both_forms_of_n_are_input_error(self, capsys):
+        code, out, err = run_cli(capsys, "predict", "5", "--n", "7")
+        assert code == 1
+        assert out == ""
+        assert "not both" in err
 
 
 class TestCompare:

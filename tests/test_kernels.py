@@ -65,11 +65,12 @@ def _same_dense(*args):
     return got[:2]
 
 
-def _scan_arrays(hi, max_steps, cap=ref.INT64_MAX, exact=None):
+def _scan_arrays(hi, max_steps, cap=ref.INT64_MAX, exact=None, on_fold=None):
     """sigma and peak1 over [0, hi] rebuilt from scan_sigma_peak's fold, in the reference's form.
 
     peaks_below = hi + 1 keeps every full peak, for a whole-array
     comparison.  The returned undecided starts must be the -2 ones.
+    on_fold, if given, is called with each block's sigma.
     """
     sigma = np.full(hi + 1, -1, np.int64)
     peak1 = np.zeros(hi + 1, np.int64)
@@ -79,6 +80,8 @@ def _scan_arrays(hi, max_steps, cap=ref.INT64_MAX, exact=None):
     def fold(a, sig, peak):
         sigma[a:a + sig.size] = sig
         peak1[a:a + sig.size] = peak
+        if on_fold is not None:
+            on_fold(sig)
 
     undecided, = _kernels.scan_sigma_peak(hi, max_steps, cap, exact, fold, peaks_below=hi + 1)
     assert undecided.dtype == np.int64
@@ -86,8 +89,8 @@ def _scan_arrays(hi, max_steps, cap=ref.INT64_MAX, exact=None):
     return sigma, peak1
 
 
-def _same_scan(hi, max_steps, cap=ref.INT64_MAX):
-    sigma, peak1 = _scan_arrays(hi, max_steps, cap)
+def _same_scan(hi, max_steps, cap=ref.INT64_MAX, on_fold=None):
+    sigma, peak1 = _scan_arrays(hi, max_steps, cap, on_fold=on_fold)
     want_sigma, want_peak1 = ref.scan_sigma_peak(hi, max_steps, cap)
     assert np.array_equal(sigma, want_sigma)
     assert np.array_equal(peak1, want_peak1)
@@ -106,9 +109,10 @@ def test_scan_sigma_peak_known_values():
     assert sigma[27] == 70
     assert peak1[27] == 4616
     assert peak1[4] == 2
-    # the fold reads the window's int16 counts when none escapes
+    # totals below 10^6 stay in the hundreds, so the fold reads the
+    # window's int16 counts from every block, across both slides
     dtypes = set()
-    _kernels.scan_sigma_peak(30, 10**6, fold=lambda a, sig, peak: dtypes.add(sig.dtype))
+    _kernels.scan_sigma_peak(10**6, 10**6, fold=lambda a, sig, peak: dtypes.add(sig.dtype))
     assert dtypes == {np.dtype(np.int16)}
 
 
@@ -220,41 +224,64 @@ def _count_slides(monkeypatch):
     return slides
 
 
-def _small_window(monkeypatch, escape=8):
+def _small_window(monkeypatch):
     # 64-start blocks in a window of half the range plus one block: a
-    # scan of a few thousand starts slides it several times.  Lowering
-    # the escape value sends most totals to the side table.
+    # scan of a few thousand starts slides it several times.  int8
+    # counts hold totals up to 127, so the first larger total, 150 at
+    # 2463, widens the window part way through the scan.
     monkeypatch.setattr(_kernels, "SCAN_LANES", 64)
     monkeypatch.setattr(_kernels, "WINDOW_EIGHTHS", 4)
-    monkeypatch.setattr(_kernels, "_ESCAPE", escape)
-    return _count_slides(monkeypatch)
+    monkeypatch.setattr(_kernels, "_COUNTS", np.int8)
+    slides = _count_slides(monkeypatch)
+    folds = []  # (slides so far, sigma dtype) of each block passed to fold
+
+    def on_fold(sig):
+        folds.append((slides[0], sig.dtype))
+
+    return slides, folds, on_fold
 
 
-def test_scan_window_slides_and_escapes_match_reference(monkeypatch):
-    slides = _small_window(monkeypatch)
-    sigma, _ = _same_scan(3000, 10**6)
+def _widened_between_slides(folds):
+    """Whether the folds' counts went int8 to int64 once, with slides on both sides."""
+    wide = [dtype == np.int64 for _, dtype in folds]
+    first = wide.index(True) if True in wide else len(wide)
+    return (all(wide[first:]) and 0 < first < len(wide)
+            and 0 < folds[first][0] < folds[-1][0])
+
+
+def test_scan_window_slides_and_widens_match_reference(monkeypatch):
+    slides, folds, on_fold = _small_window(monkeypatch)
+    sigma, _ = _same_scan(3000, 10**6, on_fold=on_fold)
     assert slides[0] >= 3
-    assert (sigma[2:] >= 8).mean() > 0.9  # most totals escape
-    for max_steps in (0, 1, 2, 7, 40):
+    assert _widened_between_slides(folds)
+    assert {dtype for _, dtype in folds} == {np.dtype(np.int8), np.dtype(np.int64)}
+    for max_steps in (0, 1, 2, 7, 40, 10**6):
         for cap in (0, 1, 2, 4095, 4615, 4616, 10**5, ref.INT64_MAX):
             slides[0] = 0
-            _same_scan(3000, max_steps, cap)
+            folds.clear()
+            sigma, _ = _same_scan(3000, max_steps, cap, on_fold=on_fold)
             assert slides[0] >= 3
+            assert _widened_between_slides(folds) == (sigma.max() > 127)
 
 
-def test_scan_window_escapes_exact_totals(monkeypatch):
-    # exact's totals escape too, and chains through them stay exact
-    _small_window(monkeypatch)
+def test_scan_window_widens_on_exact_totals(monkeypatch):
+    # exact's totals widen the window too, and chains through them stay exact
+    slides, folds, on_fold = _small_window(monkeypatch)
     monkeypatch.setattr(_kernels, "_OVF", 5000)
+    handed = []
 
     def exact(n):
+        handed.append(n)
         steps, _, peak, _ = ref.descend(n, ref.DEFAULT_LIMITS)
         return steps, peak
 
-    sigma, peak1 = _scan_arrays(4000, 10**6, exact=exact)
+    sigma, peak1 = _scan_arrays(4000, 10**6, exact=exact, on_fold=on_fold)
     want_sigma, want_peak1 = ref.scan_sigma_peak(4000, 10**6)
     assert np.array_equal(sigma, want_sigma)
     assert np.array_equal(peak1, want_peak1)
+    assert 2463 in handed  # the first total past int8 comes from exact
+    assert slides[0] >= 3
+    assert _widened_between_slides(folds)
 
 
 @pytest.mark.parametrize("hi", [100, 3000, 2 * LANES + 500])

@@ -110,6 +110,14 @@ class TestRhoGamma:
         assert rho(1) is None
         assert gamma(1) is None
 
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_rejects_nonpositive(self, n):
+        # as total_stopping_time does; only n = 1 is undefined
+        with pytest.raises(ValueError):
+            rho(n)
+        with pytest.raises(ValueError):
+            gamma(n)
+
     def test_from_trajectory_agrees(self):
         traj = iterate(t_map(), 27)
         assert rho_from_trajectory(traj) == rho(27)
